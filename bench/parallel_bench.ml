@@ -20,7 +20,13 @@
      domains hammer distinct data blocks of one stripe; decode must
      agree) — the deep version lives in test_par.
    - simulated: the same profile through the discrete-event simulator
-     for side-by-side reading. *)
+     for side-by-side reading.
+
+   Every leg's environments use the same worker and pool counts, so
+   on 2- and 4-core hosts they all park; on a bigger one the race leg
+   spins while the 300 us scaling legs and the 64 KiB CPU leg still
+   park (Par_env.spins).  The summary records which handoff was
+   measured. *)
 
 open Ecs_volume
 
@@ -39,6 +45,14 @@ let race_writers = 3
 let race_rounds = 5
 
 let cfg ~block_size = Config.make ~t_p:1 ~block_size ~k:4 ~n:6 ()
+
+(* The handoffs the legs' environments chose; "mixed" in the summary
+   if they ever disagree. *)
+let handoffs = ref []
+
+let note_handoff env =
+  let h = if Par_env.spins env then "spin" else "park" in
+  if not (List.mem h !handoffs) then handoffs := h :: !handoffs
 
 let profile () =
   match Profile.find profile_name with
@@ -97,6 +111,7 @@ let writer_body env ~cfg ~w () =
 let scaling_run ~domains =
   let cfg = cfg ~block_size in
   let env = Par_env.create ~workers ~pfor_workers ~service_time cfg in
+  note_handoff env;
   (* Seed every slot any writer can touch so reads always hit written
      data (and the timed region contains no first-touch recoveries). *)
   let seedc = Par_env.make_client env ~id:1 in
@@ -159,6 +174,7 @@ let scaling_run ~domains =
 let cpu_run ~domains =
   let cfg = cfg ~block_size:cpu_block_size in
   let env = Par_env.create ~workers ~pfor_workers ~service_time:0. cfg in
+  note_handoff env;
   let go = Atomic.make false in
   let doms =
     List.init domains (fun w ->
@@ -200,7 +216,8 @@ let adds_race () =
   let t0 = Unix.gettimeofday () in
   let ok = ref true in
   for round = 1 to race_rounds do
-    let env = Par_env.create ~workers:2 ~pfor_workers:1 cfg in
+    let env = Par_env.create ~workers ~pfor_workers cfg in
+    note_handoff env;
     let doms =
       List.init race_writers (fun i ->
           Domain.spawn (fun () ->
@@ -291,6 +308,8 @@ let run ?json () =
   let scaling = List.map (fun d -> scaling_run ~domains:d) scaling_domains in
   let cpu = List.map (fun d -> cpu_run ~domains:d) cpu_domains in
   let race = adds_race () in
+  let handoff = match !handoffs with [ h ] -> h | _ -> "mixed" in
+  Printf.printf "handoff: %s\n%!" handoff;
   let sim = simulated () in
   (match json with
   | None -> ()
@@ -310,6 +329,7 @@ let run ?json () =
                 ("service_time_us", J_float (1e6 *. service_time, 1));
                 ("ops_per_writer", J_int ops_per_writer);
                 ("cores", J_int cores);
+                ("handoff", J_str handoff);
                 ("cpu_block_size", J_int cpu_block_size);
               ] );
           ("scaling", J_arr (List.map snd scaling));

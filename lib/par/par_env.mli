@@ -11,8 +11,9 @@
       request for a node is executed by its owner, so node state needs
       no locks and per-node serialization is structural;
     - workers multiplex their nodes over one bounded {!Par_mailbox}
-      each; mailbox FIFO gives per-sender ordering, the blocking RPC
-      shape of {!Transport.S.call} is a mutex+condvar reply cell;
+      each; mailbox FIFO gives per-sender ordering, and the blocking
+      RPC shape of {!Transport.S.call} is a one-shot reply cell (see
+      {e Handoff} below);
     - block-carrying payloads are {b deep-copied at the actor
       boundary}, both directions — wire semantics — so the client
       stack's buffer recycling ({!Buf_pool}) and the node's internal
@@ -33,7 +34,31 @@
     [service_time > 0] models device latency: the owning worker sleeps
     that long before executing each request, which makes closed-loop
     throughput scale with client concurrency even on few cores (the
-    latency-bound regime real storage lives in). *)
+    latency-bound regime real storage lives in).
+
+    {b Handoff.}  Every RPC crosses domains twice: the request into the
+    owner's mailbox, the answer back through the reply cell.  Parking
+    both sides on condvars costs two futex wake-ups of an idle core
+    per call, far more than a small request's service.  So both sides
+    {e spin, then park}: an idle worker polls its mailbox's atomic
+    element count, and a caller polls its reply cell (one [Atomic.t]),
+    each for {!Par_mailbox.spin_budget} (50 µs) before parking on a
+    condvar.  The owner publishes the answer by swapping it into the
+    cell.  A caller whose spin ran out makes a mutex and condvar,
+    marks the cell parked with a compare-and-set while holding the
+    mutex, and re-checks the cell under it before every wait; an owner
+    that finds the cell parked signals under that mutex, so the signal
+    either finds the caller waiting or the caller finds the answer —
+    no lost wake-up.
+
+    Spinning is on only when {!spin_eligible} holds at [create]: every
+    worker, every pool domain and one caller have a core each, and a
+    request can be answered within the budget (blocks of at most
+    {!spin_max_block} bytes, a [service_time] below the budget).
+    Otherwise both sides park at once as before: spinning through a
+    long request (a 64 KiB add) only burns a core.  The choice is
+    fixed for the environment's lifetime ({!spins}); it never depends
+    on how long earlier answers took. *)
 
 type t
 
@@ -50,6 +75,28 @@ val create :
     [0]: pfor thunks run on their callers, which is already correct —
     pool domains only add overlap); [service_time] in seconds (default
     [0]). *)
+
+val spin_max_block : int
+(** The largest block size, in bytes, whose requests spin (16 KiB). *)
+
+val spin_eligible :
+  workers:int ->
+  pfor_workers:int ->
+  cores:int ->
+  block_size:int ->
+  service_time:float ->
+  bool
+(** [workers + pfor_workers + 1 <= cores && block_size <=
+    spin_max_block && service_time < Par_mailbox.spin_budget]: the
+    handoff spins only when the storage workers, the pool and one
+    caller all fit the host's [cores] (as
+    [Domain.recommended_domain_count] reports them) and a request can
+    be answered within the spin budget. *)
+
+val spins : t -> bool
+(** Whether this environment's handoff spins: {!spin_eligible} of its
+    worker and pool counts, the host's cores, its block size and its
+    service time, decided at [create]. *)
 
 val transport : t -> id:int -> Transport.t
 (** A transport for client [id].  Safe to create and use from any

@@ -46,14 +46,14 @@ let create ~workers =
   if workers < 0 then invalid_arg "Par_pool.create: negative workers";
   (* Capacity is only backpressure between submitters and idle workers;
      callers drain their own batches, so a small bound suffices. *)
-  let jobs = Par_mailbox.create ~capacity:(max 1 (4 * max 1 workers)) in
+  let jobs =
+    Par_mailbox.create ~spin:false ~capacity:(max 1 (4 * max 1 workers))
+  in
   {
     jobs;
     domains = Array.init workers (fun _ -> Domain.spawn (worker jobs));
     stopped = Atomic.make false;
   }
-
-let workers t = Array.length t.domains
 
 let run t thunks =
   if Atomic.get t.stopped then invalid_arg "Par_pool.run: pool shut down";

@@ -24,8 +24,6 @@ val create : workers:int -> t
 (** Spawn [workers] pool domains ([0] is valid: everything then runs on
     callers).  @raise Invalid_argument on negative [workers]. *)
 
-val workers : t -> int
-
 val run : t -> (unit -> unit) list -> unit
 (** Execute all thunks, helping from the calling domain; returns when
     every thunk has finished.  Safe from any domain, including pool
