@@ -6,20 +6,22 @@
    (d) the broadcast optimization: single-client throughput no longer
        decays with n-k; at 64 clients storage NICs saturate instead. *)
 
+open Ecs_volume
+
 let block_size = 1024
 
 let run_load ?(strategy = Config.Parallel) ~k ~n ~clients ~write ~duration () =
   let cfg = Config.make ~strategy ~t_p:1 ~block_size ~k ~n () in
-  let cluster = Cluster.create cfg in
+  let cluster = Shard_cluster.create ~remap_policy:`Auto cfg in
   let workload =
     if write then Generator.Write_only { blocks = 8192 }
     else Generator.Read_only { blocks = 8192 }
   in
   let r =
-    Runner.run ~outstanding:8 ~warmup:0.02 ~gc_every:(Some 0.1) ~cluster
+    Vrunner.run ~outstanding:8 ~warmup:0.02 ~gc_every:(Some 0.1) ~sc:cluster
       ~clients ~duration ~workload ()
   in
-  if write then r.Runner.write_mbs else r.Runner.read_mbs
+  if write then r.Vrunner.run.write_mbs else r.Vrunner.run.read_mbs
 
 let client_counts = [ 1; 2; 4; 8; 16; 32; 64 ]
 

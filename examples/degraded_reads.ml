@@ -7,24 +7,26 @@
 
    Run with:  dune exec examples/degraded_reads.exe *)
 
+open Ecs_volume
+
 let () =
   let cfg =
     Config.make ~strategy:Config.Parallel ~t_p:1 ~block_size:1024 ~k:3 ~n:5 ()
   in
   (* Manual remap policy: dead nodes stay dead until we install a
      replacement, modelling the window before a spare is provisioned. *)
-  let cluster = Cluster.create ~remap_policy:`Manual cfg in
-  let volume = Cluster.make_volume cluster ~id:0 in
-  let client = Volume.client volume in
+  let cluster = Shard_cluster.create ~remap_policy:`Manual cfg in
+  let volume = Volume.create cluster ~id:0 in
+  let client = Volume.group_client volume 0 in
 
-  Cluster.spawn cluster (fun () ->
+  Shard_cluster.spawn cluster (fun () ->
       for l = 0 to 8 do
         Volume.write volume l (Bytes.make 1024 (Char.chr (Char.code '0' + l)))
       done;
       Printf.printf "wrote 9 blocks across %d stripes\n"
-        (List.length (Volume.used_slots volume));
+        (List.length (Shard_cluster.used_slots cluster ~group:0));
 
-      Cluster.crash_storage cluster 0;
+      Shard_cluster.crash_node cluster 0;
       Printf.printf "\nstorage node 0 is down, no replacement available.\n";
 
       (* Logical block 0 = stripe 0, data position 0 -> node 0: gone. *)
@@ -43,9 +45,11 @@ let () =
         h.Client.sh_live cfg.Config.n h.Client.sh_consistent h.Client.sh_healthy;
 
       (* A spare arrives: remap, then scrub the whole volume. *)
-      Cluster.remap_storage cluster 0;
+      Shard_cluster.restart_node cluster 0;
       Printf.printf "\nreplacement node installed; scrubbing...\n";
-      let report = Scrub.scrub_volume volume in
+      let report =
+        Scrub.scrub client ~slots:(Shard_cluster.used_slots cluster ~group:0)
+      in
       Format.printf "%a@." Scrub.pp_report report;
 
       (* Normal fast-path reads work again. *)
@@ -53,4 +57,4 @@ let () =
       Printf.printf "normal read of block 0 after scrub: %c\n" (Bytes.get v 0);
       let h = Client.verify_slot client ~slot:0 in
       Printf.printf "stripe 0 healthy again: %b\n" h.Client.sh_healthy);
-  Cluster.run cluster
+  Shard_cluster.run cluster

@@ -7,20 +7,23 @@
 
    Run with:  dune exec examples/sequential_io.exe *)
 
+open Ecs_volume
+
 let run_sequential ~rotate =
   let cfg =
     Config.make ~strategy:Config.Parallel ~t_p:1 ~block_size:1024 ~k:3 ~n:5 ()
   in
-  let cluster = Cluster.create ~rotate cfg in
-  let result =
-    Runner.run ~outstanding:16 ~warmup:0.01 ~cluster ~clients:1 ~duration:0.2
+  let cluster = Shard_cluster.create ~remap_policy:`Auto ~rotate cfg in
+  let { Vrunner.run = result; _ } =
+    Vrunner.run ~outstanding:16 ~warmup:0.01 ~sc:cluster ~clients:1
+      ~duration:0.2
       ~workload:(Generator.Sequential { start = 0; count = 4096; op = Generator.Op_write })
       ()
   in
   (* Per-node receive bytes show the load distribution. *)
   let loads =
     List.init cfg.Config.n (fun i ->
-        let e = Cluster.storage_entry cluster i in
+        let e = Directory.lookup (Shard_cluster.group_directory cluster 0) i in
         Net.bytes_in e.Directory.net_node /. 1.0e6)
   in
   (result, loads)
@@ -33,7 +36,7 @@ let () =
       let result, loads = run_sequential ~rotate in
       Printf.printf "%-12s  %6.1f MB/s   per-node MB received: [%s]\n"
         (if rotate then "rotated" else "pinned")
-        result.Runner.write_mbs
+        result.Report.write_mbs
         (String.concat "; " (List.map (Printf.sprintf "%.1f") loads));
       let mx = List.fold_left Float.max 0. loads in
       let mn = List.fold_left Float.min infinity loads in

@@ -2,10 +2,10 @@
    human-readable one-line summary, and a small deterministic JSON
    writer for machine-readable summaries (CI artifacts).
 
-   This is the single home for per-run stats formatting: the workload
-   runner ({!Runner.print_result}), the CI smoke bench and the volume
-   scaling bench all render through these helpers, so the formats cannot
-   drift apart. *)
+   This is the single home for per-run stats formatting: the figure
+   benches, the CI smoke bench and the volume scaling bench all render
+   {!Vrunner} results through these helpers, so the formats cannot drift
+   apart. *)
 
 type run = {
   duration : float;
@@ -26,8 +26,7 @@ type run = {
   recovery_phases : (string * int) list;
 }
 
-(* Unified failure accounting: one record, one JSON schema, for both
-   the single-group runner and the sharded-volume runner — so "how did
+(* Unified failure accounting: one record, one JSON schema, so "how did
    this run degrade" reads the same everywhere. *)
 type failures = {
   write_abandoned : int;

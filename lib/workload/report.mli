@@ -1,12 +1,11 @@
 (** Shared per-run reporting: the measured-run record, its one-line
     human-readable rendering, and a deterministic JSON writer.
 
-    One home for per-run stats formatting — the workload runner, the CI
+    One home for per-run stats formatting — the figure benches, the CI
     smoke bench and the volume scaling bench all render through these
     helpers so their formats cannot drift apart. *)
 
-(** What one measured run produced.  {!Runner.result} is an alias of
-    this record. *)
+(** What one measured run produced ([Vrunner.result.run]). *)
 type run = {
   duration : float;  (** measured window, seconds *)
   clients : int;
@@ -27,7 +26,7 @@ type run = {
 }
 
 (** Unified failure/health accounting — one record and one JSON schema
-    shared by the single-group runner and the sharded-volume runner. *)
+    for every run. *)
 type failures = {
   write_abandoned : int;  (** ambiguous swap timeouts *)
   write_stuck : int;  (** writes that drained a retry limit *)

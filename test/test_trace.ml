@@ -3,6 +3,8 @@
    sink, and byte-determinism of the rendered metrics under a fixed
    simulation seed. *)
 
+open Ecs_volume
+
 let blk cfg c = Bytes.make cfg.Config.block_size c
 
 let cfg_3_5 () =
@@ -96,21 +98,24 @@ let test_client_metrics () =
 let metrics_of_seeded_run () =
   let cfg = Config.make ~k:3 ~n:5 ~block_size:256 () in
   let faults = { Net.drop = 0.05; dup = 0.02; delay = 0.; jitter = 20e-6 } in
-  let cluster = Cluster.create ~seed:0x7ACE ~faults cfg in
+  let cluster =
+    Shard_cluster.create ~remap_policy:`Auto ~seed:0x7ACE ~faults cfg
+  in
   let result =
-    Runner.run ~outstanding:2 ~cluster ~clients:2 ~duration:0.1
+    Vrunner.run ~outstanding:2 ~sc:cluster ~clients:2 ~duration:0.1
       ~workload:(Generator.Random_mix { blocks = 16; write_frac = 0.5 })
       ()
   in
-  (result, Metrics.to_json (Cluster.metrics cluster))
+  (result, Metrics.to_json (Shard_cluster.group_metrics cluster 0))
 
 let test_metrics_deterministic () =
   let r1, j1 = metrics_of_seeded_run () in
   let r2, j2 = metrics_of_seeded_run () in
   Alcotest.(check string) "metrics JSON byte-identical" j1 j2;
-  Alcotest.(check int) "runner retry counts agree" r1.Runner.rpc_retries
-    r2.Runner.rpc_retries;
-  Alcotest.(check bool) "faulty run did retry" true (r1.Runner.rpc_retries > 0)
+  Alcotest.(check int) "runner retry counts agree" r1.Vrunner.run.rpc_retries
+    r2.Vrunner.run.rpc_retries;
+  Alcotest.(check bool) "faulty run did retry" true
+    (r1.Vrunner.run.rpc_retries > 0)
 
 let suite =
   ( "trace",
