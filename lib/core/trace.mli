@@ -110,7 +110,7 @@ type event =
           are the protocol wire bytes the repair pulled from source
           members and pushed to rebuilt ones. *)
   | Custom of string
-      (** Escape hatch for user instrumentation via [Client.env.note]. *)
+      (** Escape hatch for user instrumentation. *)
 
 type sink = ctx -> event -> unit
 

@@ -1,9 +1,6 @@
-type t = {
-  counters : (string, float ref) Hashtbl.t;
-  series : (string, float list ref) Hashtbl.t; (* stored newest-first *)
-}
+type t = { counters : (string, float ref) Hashtbl.t }
 
-let create () = { counters = Hashtbl.create 32; series = Hashtbl.create 8 }
+let create () = { counters = Hashtbl.create 32 }
 
 let counter_ref t name =
   match Hashtbl.find_opt t.counters name with
@@ -24,48 +21,13 @@ let add t name amount =
 let counter t name =
   match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0.
 
-let record_latency t name sample =
-  match Hashtbl.find_opt t.series name with
-  | Some r -> r := sample :: !r
-  | None -> Hashtbl.add t.series name (ref [ sample ])
-
-let latencies t name =
-  match Hashtbl.find_opt t.series name with
-  | Some r -> List.rev !r
-  | None -> []
-
-let percentile sorted q =
-  let n = Array.length sorted in
-  if n = 0 then 0.
-  else
-    let idx = int_of_float (q *. float_of_int (n - 1)) in
-    sorted.(idx)
-
-let latency_stats t name =
-  match latencies t name with
-  | [] -> None
-  | samples ->
-    let arr = Array.of_list samples in
-    Array.sort compare arr;
-    let n = Array.length arr in
-    let sum = Array.fold_left ( +. ) 0. arr in
-    Some
-      ( n,
-        sum /. float_of_int n,
-        percentile arr 0.5,
-        percentile arr 0.95,
-        arr.(n - 1) )
-
 let counters t =
   Hashtbl.fold (fun name r acc -> (name, !r) :: acc) t.counters []
   |> List.sort compare
 
-let reset t =
-  Hashtbl.reset t.counters;
-  Hashtbl.reset t.series
+let reset t = Hashtbl.reset t.counters
 
 let snapshot t =
   let copy = create () in
   Hashtbl.iter (fun k r -> Hashtbl.add copy.counters k (ref !r)) t.counters;
-  Hashtbl.iter (fun k r -> Hashtbl.add copy.series k (ref !r)) t.series;
   copy

@@ -1,9 +1,9 @@
-(** Measurement plumbing: named counters and latency samples.
+(** Measurement plumbing: the network's named counters.
 
     One [Stats.t] is shared by a whole simulated cluster; the RPC layer
-    counts messages and bytes into it and protocol/workload code records
-    per-operation latencies.  Everything Fig 1 and Sections 6.2-6.3 report
-    comes out of here. *)
+    counts messages and bytes into it (the per-message costs Fig 1 and
+    Sections 6.2-6.3 report), and the harness counts injected faults and
+    protocol notes.  Latencies live in {!Metrics}. *)
 
 type t
 
@@ -17,15 +17,6 @@ val add : t -> string -> float -> unit
 
 val counter : t -> string -> float
 (** Current value of a counter (0 if never touched). *)
-
-val record_latency : t -> string -> float -> unit
-(** Append a latency sample (seconds) to a named series. *)
-
-val latency_stats : t -> string -> (int * float * float * float * float) option
-(** [(count, mean, p50, p95, max)] of a series, or [None] if empty. *)
-
-val latencies : t -> string -> float list
-(** Raw samples, oldest first. *)
 
 val counters : t -> (string * float) list
 (** All counters, sorted by name. *)

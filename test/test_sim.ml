@@ -279,17 +279,6 @@ let test_stats_snapshot_and_reset () =
   Alcotest.(check (float 1e-9)) "reset" 0. (Stats.counter s "a");
   Alcotest.(check (list (pair string (float 1e-9)))) "empty" [] (Stats.counters s)
 
-let test_stats_latency () =
-  let s = Stats.create () in
-  List.iter (Stats.record_latency s "op") [ 0.01; 0.02; 0.03; 0.04; 0.10 ];
-  match Stats.latency_stats s "op" with
-  | None -> Alcotest.fail "no stats"
-  | Some (n, mean, p50, _p95, mx) ->
-    Alcotest.(check int) "n" 5 n;
-    Alcotest.(check (float 1e-9)) "mean" 0.04 mean;
-    Alcotest.(check (float 1e-9)) "p50" 0.03 p50;
-    Alcotest.(check (float 1e-9)) "max" 0.10 mx
-
 let test_deterministic_runs () =
   (* Two runs with the same seed produce identical event counts/time. *)
   let run () =
@@ -331,7 +320,6 @@ let suite =
       t "rpc to crashed node" test_net_crash;
       t "NIC bandwidth saturation" test_net_bandwidth_saturation;
       t "broadcast pays send once" test_net_broadcast;
-      t "stats latency percentiles" test_stats_latency;
       t "fiber timeout" test_fiber_timeout;
       t "fiber yield" test_fiber_yield;
       t "engine step/processed" test_engine_step_and_processed;

@@ -742,6 +742,111 @@ let test_drained_node_avoided_by_group_planner () =
     (p.Recovery.rank ~slot:0 ~pos:victim_pos
     > p.Recovery.rank ~slot:0 ~pos:other_pos)
 
+(* ------------------------------------------------------------------ *)
+(* Single-group harness capabilities (client crashes, remap policy,
+   default placement) on G > 1. *)
+
+(* Two groups of five over five pool nodes: every pool node hosts a
+   member of both groups. *)
+let two_groups_on_five () = placement ~groups:2 ~pool:5
+
+let test_crashed_client_locks_expire_in_both_groups () =
+  (* Client 0 crashes while it holds the Fig 6 recovery locks of stripe
+     0 in both groups.  The storage nodes' failure detector must expire
+     those locks in both groups, so client 1's recoveries complete. *)
+  let placement = two_groups_on_five () in
+  let sc = Shard_cluster.create ~seed:0x13 ~placement (cfg ()) in
+  let block l = Bytes.make 512 (Char.chr (0x41 + l)) in
+  let setup = Volume.create sc ~id:9 in
+  Shard_cluster.spawn sc (fun () ->
+      Volume.write_batch setup (List.init 6 (fun l -> (l, block l)));
+      Shard_cluster.replace_node sc 0);
+  Shard_cluster.run sc;
+  let v0 = Volume.create sc ~id:0 in
+  for g = 0 to 1 do
+    Shard_cluster.spawn sc (fun () ->
+        try Client.recover_slot (Volume.group_client v0 g) ~slot:0
+        with Shard_cluster.Client_crashed _ -> ())
+  done;
+  Engine.schedule (Shard_cluster.engine sc)
+    ~at:(Shard_cluster.now sc +. 600e-6)
+    (fun () -> Shard_cluster.crash_client sc 0);
+  Shard_cluster.run sc;
+  for g = 0 to 1 do
+    Alcotest.(check int)
+      (Printf.sprintf "group %d recovery cut short" g)
+      0
+      (Client.recoveries_run (Volume.group_client v0 g))
+  done;
+  let v1 = Volume.create sc ~id:1 in
+  Shard_cluster.spawn sc (fun () ->
+      Fiber.sleep 0.5;
+      for g = 0 to 1 do
+        Client.recover_slot (Volume.group_client v1 g) ~slot:0
+      done;
+      List.iteri
+        (fun l got ->
+          Alcotest.(check bytes) (Printf.sprintf "block %d" l) (block l) got)
+        (Volume.read_batch v1 (List.init 6 Fun.id)));
+  Shard_cluster.run sc;
+  for g = 0 to 1 do
+    Alcotest.(check int)
+      (Printf.sprintf "group %d recovered" g)
+      1
+      (Client.recoveries_run (Volume.group_client v1 g))
+  done
+
+let test_auto_remap_covers_every_hosted_group () =
+  (* Under [`Auto], one client's [`Node_down] from a dead pool node
+     restarts it, remapping its members in both groups at once. *)
+  let placement = two_groups_on_five () in
+  let sc =
+    Shard_cluster.create ~seed:0x14 ~remap_policy:`Auto ~placement (cfg ())
+  in
+  let p = Placement.member placement ~group:0 ~index:0 in
+  Shard_cluster.crash_node sc p;
+  let (module T : Transport.S) = Shard_cluster.transport sc ~id:0 ~group:0 in
+  let got = ref None in
+  Shard_cluster.spawn sc (fun () ->
+      got := Some (T.call_node ~node:0 Proto.Read));
+  Shard_cluster.run sc;
+  (match !got with
+  | Some (Ok (Proto.R_read { block = None; _ })) -> ()
+  | _ -> Alcotest.fail "expected the fresh INIT replacement to answer");
+  Alcotest.(check bool) "pool node back" true (Shard_cluster.node_alive sc p);
+  for g = 0 to 1 do
+    Array.iteri
+      (fun index q ->
+        Alcotest.(check int)
+          (Printf.sprintf "group %d member %d generation" g index)
+          (if q = p then 1 else 0)
+          (Directory.generation (Shard_cluster.group_directory sc g) index))
+      (Placement.group_nodes placement g)
+  done
+
+let test_default_placement_is_identity () =
+  (* Without a placement: one group over n pool nodes, member i on pool
+     node i, and the default [`Stable] policy reports a dead member as
+     [`Node_down]. *)
+  let sc = Shard_cluster.create (cfg ()) in
+  Alcotest.(check int) "one group" 1 (Shard_cluster.groups sc);
+  Alcotest.(check int) "n pool nodes" 5 (Shard_cluster.pool_size sc);
+  for i = 0 to 4 do
+    Alcotest.(check int)
+      (Printf.sprintf "member %d" i)
+      i
+      (Placement.member (Shard_cluster.placement sc) ~group:0 ~index:i)
+  done;
+  Shard_cluster.crash_node sc 3;
+  let (module T : Transport.S) = Shard_cluster.transport sc ~id:0 ~group:0 in
+  let got = ref None in
+  Shard_cluster.spawn sc (fun () ->
+      got := Some (T.call_node ~node:3 Proto.Read));
+  Shard_cluster.run sc;
+  match !got with
+  | Some (Error `Node_down) -> ()
+  | _ -> Alcotest.fail "expected a stable Node_down"
+
 let suite =
   let t name f = Alcotest.test_case name `Quick f in
   (* Everything that exercises the coding path runs at both fields; the
@@ -779,6 +884,12 @@ let suite =
         test_repair_planner_avoids_draining_sources;
       t "drained node avoided by group planner"
         test_drained_node_avoided_by_group_planner;
+      t "crashed client's locks expire in both groups"
+        test_crashed_client_locks_expire_in_both_groups;
+      t "auto remap covers every hosted group"
+        test_auto_remap_covers_every_hosted_group;
+      t "default placement is one identity group"
+        test_default_placement_is_identity;
     ]
     @ coding `Gf8 "gf8: "
     @ coding `Gf16 "gf16: " )
