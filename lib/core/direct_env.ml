@@ -107,5 +107,3 @@ let make_client ?sink t ~id =
   Client.of_transport ?sink
     ~locate:(fun ~slot ~pos -> Layout.node_of t.layout ~stripe:slot ~pos)
     t.cfg t.code (transport t ~id)
-
-let make_volume t ~id = Volume.create (make_client t ~id) t.layout

@@ -24,8 +24,6 @@ val make_client : ?sink:Trace.sink -> t -> id:int -> Client.t
 (** Client over {!transport}; [sink] taps the structured trace stream
     (tests assert on event sequences through it). *)
 
-val make_volume : t -> id:int -> Volume.t
-
 val crash_node : t -> int -> unit
 val remap_node : t -> int -> unit
 

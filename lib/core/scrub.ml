@@ -68,9 +68,6 @@ let scrub client ~slots =
     empty
     (List.sort_uniq compare slots)
 
-let scrub_volume volume =
-  scrub (Volume.client volume) ~slots:(Volume.used_slots volume)
-
 let pp_report fmt r =
   Format.fprintf fmt
     "scanned %d stripe(s): %d healthy, %d repaired, %d unrepaired; integrity: \

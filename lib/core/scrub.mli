@@ -49,7 +49,4 @@ val scrub : Client.t -> slots:int list -> report
     other scrubbers — repair is the ordinary recovery procedure, which
     backs off when contended. *)
 
-val scrub_volume : Volume.t -> report
-(** {!scrub} over every stripe the volume has touched. *)
-
 val pp_report : Format.formatter -> report -> unit

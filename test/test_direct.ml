@@ -32,17 +32,19 @@ let test_roundtrip () =
   Alcotest.(check bool) "consistent" true (stripe_consistent direct cfg ~slot:0)
 
 let test_volume_api () =
+  (* Logical blocks across stripes: block l is data position l mod k of
+     stripe l / k. *)
   let cfg = cfg_3_5 () in
   let direct = Direct_env.create cfg in
-  let volume = Direct_env.make_volume direct ~id:0 in
+  let client = Direct_env.make_client direct ~id:0 in
   for l = 0 to 11 do
-    Volume.write volume l (blk cfg (Char.chr (65 + l)))
+    Client.write client ~slot:(l / 3) ~i:(l mod 3) (blk cfg (Char.chr (65 + l)))
   done;
   for l = 0 to 11 do
     Alcotest.(check bytes)
       (Printf.sprintf "block %d" l)
       (blk cfg (Char.chr (65 + l)))
-      (Volume.read volume l)
+      (Client.read client ~slot:(l / 3) ~i:(l mod 3))
   done
 
 let test_crash_and_recover () =

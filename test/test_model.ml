@@ -36,7 +36,8 @@ let run_schedule ~k ~n ~blocks ops =
   let cfg = Config.make ~strategy:Config.Serial ~t_p:1 ~block_size:16 ~k ~n () in
   let direct = Direct_env.create cfg in
   let client = Direct_env.make_client direct ~id:1 in
-  let volume = Direct_env.make_volume direct ~id:2 in
+  let writer = Direct_env.make_client direct ~id:2 in
+  let read l = Client.read writer ~slot:(l / k) ~i:(l mod k) in
   let model = Hashtbl.create 32 in
   let expected l =
     Option.value (Hashtbl.find_opt model l) ~default:(Bytes.make 16 '\000')
@@ -57,10 +58,10 @@ let run_schedule ~k ~n ~blocks ops =
       match op with
       | Op_write (l, c) ->
         let v = Bytes.make 16 c in
-        Volume.write volume l v;
+        Client.write writer ~slot:(l / k) ~i:(l mod k) v;
         Hashtbl.replace model l v;
         true
-      | Op_read l -> Bytes.equal (Volume.read volume l) (expected l)
+      | Op_read l -> Bytes.equal (read l) (expected l)
       | Op_crash_remap node ->
         let repaired = if !unrepaired_crash then scrub_ok () else true in
         Direct_env.crash_node direct node;
@@ -68,14 +69,14 @@ let run_schedule ~k ~n ~blocks ops =
         unrepaired_crash := true;
         repaired
       | Op_gc ->
-        Client.collect_garbage (Volume.client volume);
+        Client.collect_garbage writer;
         true
       | Op_scrub -> scrub_ok ())
     ops
   &&
   (* Final sweep: every model block readable, every stripe decodable. *)
   Hashtbl.fold
-    (fun l v acc -> acc && Bytes.equal (Volume.read volume l) v)
+    (fun l v acc -> acc && Bytes.equal (read l) v)
     model true
   &&
   let r = Scrub.scrub client ~slots:(List.init ((blocks + k - 1) / k) Fun.id) in
