@@ -56,6 +56,7 @@ let write t ~slot ~i v =
 let recover_slot ?delta t ~slot = Recovery.start ?delta t.recovery ~slot
 let collect_garbage t = Gc.collect t.gc
 let monitor_once t ~slots = Gc.monitor_once t.gc ~slots
+let probe t ~slots = Gc.probe t.gc ~slots
 
 type slot_health = Read_path.slot_health = {
   sh_live : int;

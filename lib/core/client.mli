@@ -113,6 +113,10 @@ val monitor_once : t -> slots:int list -> unit
     stripe.  [slots] is the universe of in-use stripes, used only to
     bound probe interpretation. *)
 
+val probe : t -> slots:int list -> int list
+(** The probe half of {!monitor_once}: the flagged slots, in the order
+    it would recover them, so a caller can recover them one by one. *)
+
 (** Health of one stripe as seen by {!verify_slot} (alias of
     {!Read_path.slot_health}). *)
 type slot_health = Read_path.slot_health = {

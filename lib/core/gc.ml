@@ -75,11 +75,11 @@ let collect t =
   t.old_gc <- moved @ kept_old;
   t.pending_gc <- kept_pending
 
-(* Monitoring (Sec 3.10). *)
-let monitor_once t ~slots =
+(* Monitoring (Sec 3.10): the slots any node flags as holding a stale
+   unfinished write or an INIT block, restricted to [slots] unless that
+   is empty. *)
+let flagged_slots t ctx ~slots =
   let cfg = Session.cfg t.session in
-  let ctx = Session.new_ctx t.session Trace.Op_monitor ~slot:(-1) in
-  Session.with_op t.session ctx @@ fun () ->
   let flagged = Hashtbl.create 8 in
   for node = 0 to cfg.Config.n - 1 do
     match
@@ -97,8 +97,19 @@ let monitor_once t ~slots =
       Session.emit t.session ctx (Trace.Probe_result { node; stale = 0; init = 0 })
   done;
   let universe = List.sort_uniq compare slots in
-  Hashtbl.iter
-    (fun slot () ->
-      if universe = [] || List.mem slot universe then
-        Recovery.start t.recovery ~parent:ctx ~slot)
-    flagged
+  Hashtbl.fold
+    (fun slot () acc ->
+      if universe = [] || List.mem slot universe then slot :: acc else acc)
+    flagged []
+  |> List.rev
+
+let probe t ~slots =
+  let ctx = Session.new_ctx t.session Trace.Op_monitor ~slot:(-1) in
+  Session.with_op t.session ctx @@ fun () -> flagged_slots t ctx ~slots
+
+let monitor_once t ~slots =
+  let ctx = Session.new_ctx t.session Trace.Op_monitor ~slot:(-1) in
+  Session.with_op t.session ctx @@ fun () ->
+  List.iter
+    (fun slot -> Recovery.start t.recovery ~parent:ctx ~slot)
+    (flagged_slots t ctx ~slots)

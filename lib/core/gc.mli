@@ -31,3 +31,7 @@ val monitor_once : t -> slots:int list -> unit
 (** Probe every node for writes older than [Config.stale_write_age] and
     for INIT blocks, and run recovery on the flagged slots ([slots] is
     the universe filter; [[]] means "any"). *)
+
+val probe : t -> slots:int list -> int list
+(** The probe half of {!monitor_once}: the slots it would recover, in
+    the order it would recover them. *)

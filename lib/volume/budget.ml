@@ -1,16 +1,5 @@
-(* Shared token-bucket ops budget for background work on a sharded
-   volume.  Extracted from the maintenance scheduler so the supervisor's
-   event-driven repair can draw from the {e same} bucket: self-healing
-   is prioritized ahead of routine monitor sweeps, but both together
-   still cannot exceed the configured background ops rate — the token
-   bucket is the single throttle that protects foreground traffic.
-
-   Priority model: while any urgent taker is registered (supervisor
-   repair in flight), non-urgent [take]s park until the urgent count
-   drops to zero, then compete for tokens normally.  Urgent takers
-   still pay full price — priority reorders the queue, it does not mint
-   tokens.  All pacing derives from the simulated clock, so a seeded
-   run is deterministic. *)
+(* Token bucket: the background scheduler's throttle on its RPCs and
+   the per-tenant QoS meter, paced by the supplied (simulated) clock. *)
 
 type t = {
   rate : float; (* tokens per simulated second *)
@@ -18,13 +7,12 @@ type t = {
   now : unit -> float;
   mutable tokens : float;
   mutable last : float;
-  mutable urgent_pending : int;
 }
 
 let create ~rate ~cap ~now =
   if rate <= 0. then invalid_arg "Budget.create: need rate > 0";
   if cap <= 0. then invalid_arg "Budget.create: need cap > 0";
-  { rate; cap; now; tokens = cap; last = now (); urgent_pending = 0 }
+  { rate; cap; now; tokens = cap; last = now () }
 
 let rate t = t.rate
 
@@ -33,31 +21,17 @@ let refill t =
   t.tokens <- min t.cap (t.tokens +. ((now -. t.last) *. t.rate));
   t.last <- now
 
-let begin_urgent t = t.urgent_pending <- t.urgent_pending + 1
-
-let end_urgent t =
-  if t.urgent_pending <= 0 then invalid_arg "Budget.end_urgent: not begun";
-  t.urgent_pending <- t.urgent_pending - 1
-
-(* Smallest pause that lets the bucket make visible progress without
-   busy-spinning the scheduler: one token's worth of refill time. *)
-let poll_interval t = 1. /. t.rate
-
 let try_take t cost =
   if cost < 0. then invalid_arg "Budget.try_take: negative cost";
   refill t;
-  if t.urgent_pending = 0 && t.tokens >= cost then begin
+  if t.tokens >= cost then begin
     t.tokens <- t.tokens -. cost;
     true
   end
   else false
 
-let take ?(urgent = false) t cost =
+let take t cost =
   if cost < 0. then invalid_arg "Budget.take: negative cost";
-  (* Low-priority takers yield while urgent work is in flight. *)
-  while (not urgent) && t.urgent_pending > 0 do
-    Fiber.sleep (poll_interval t)
-  done;
   refill t;
   if t.tokens < cost then begin
     Fiber.sleep ((cost -. t.tokens) /. t.rate);

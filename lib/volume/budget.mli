@@ -1,12 +1,10 @@
-(** Shared token-bucket ops budget for background work.
+(** Token-bucket ops budget.
 
-    The maintenance scheduler and the self-healing supervisor draw from
-    one bucket, so routine sweeps plus event-driven repair together
-    cannot exceed the configured background rate.  Urgent takers
-    (supervisor repair) are served ahead of routine ones: while any
-    urgent section is open, non-urgent {!take}s park — but urgent work
-    still pays full token price.  All pacing is driven by the supplied
-    clock (the simulated one), so seeded runs stay deterministic. *)
+    {!Background} prices every storage-node RPC it issues against one
+    bucket, so all background work together stays inside one rate;
+    {!Vrunner.run_profile} meters tenants with the same bucket.  All
+    pacing is driven by the supplied clock (the simulated one), so
+    seeded runs stay deterministic. *)
 
 type t
 
@@ -16,22 +14,13 @@ val create : rate:float -> cap:float -> now:(unit -> float) -> t
 
 val rate : t -> float
 
-val take : ?urgent:bool -> t -> float -> unit
+val take : t -> float -> unit
 (** Block (fiber-sleep) until [cost] tokens are available, then spend
-    them.  Non-urgent callers additionally wait for every open urgent
-    section to close first.  @raise Invalid_argument on negative cost. *)
+    them.  @raise Invalid_argument on negative cost. *)
 
 val try_take : t -> float -> bool
 (** Non-blocking variant: spend [cost] tokens and return [true] if they
-    are available right now (and no urgent section is open), else leave
-    the bucket untouched and return [false].  Never fiber-sleeps, so it
-    is safe outside a fiber — the lever for shed-instead-of-wait
-    admission (per-tenant QoS metering).
+    are available right now, else leave the bucket untouched and return
+    [false].  Never fiber-sleeps, so it is safe outside a fiber — the
+    lever for shed-instead-of-wait admission (per-tenant QoS metering).
     @raise Invalid_argument on negative cost. *)
-
-val begin_urgent : t -> unit
-(** Open an urgent section: until the matching {!end_urgent}, non-urgent
-    {!take}s park.  Sections nest (counted). *)
-
-val end_urgent : t -> unit
-(** Close one urgent section.  @raise Invalid_argument if none open. *)

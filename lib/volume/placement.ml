@@ -15,7 +15,7 @@
    the members whose slot the new node actually wins (or the lost node
    actually held), so rebalance traffic is proportional to the capacity
    change, never to the pool size.  {!plan} computes exactly that diff
-   without mutating; the rebalancer applies it move by move through
+   without mutating; {!Background} applies it move by move through
    {!reassign} + directory remap + Fig 6 rebuild.
 
    Everything is a pure function of [(seed, groups, n, topology)]; the

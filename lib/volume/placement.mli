@@ -30,11 +30,11 @@
 (** One planned member migration: member [index] of [group] moves from
     pool node [src] to pool node [dst].  Produced by {!plan}, applied
     by {!reassign} (placement) + directory remap + Fig 6 rebuild (the
-    {!Rebalancer}). *)
+    {!Background}). *)
 type move = { mv_group : int; mv_index : int; mv_src : int; mv_dst : int }
 
 (** The placement query/mutation interface — everything the volume
-    stack above (shard cluster, supervisor, rebalancer, volume) needs.
+    stack above (shard cluster, background scheduler, volume) needs.
     The concrete [Placement] includes it; an alternative placer (e.g. a
     table-driven one for tests) only has to match this shape. *)
 module type S = sig

@@ -8,7 +8,7 @@
    - a member hosted on a {e draining} pool node (weight 0) must not
      serve repair reads — the whole point of draining is to take load
      off the node, and the member itself may be mid-migration;
-   - a member whose (group, index) sits in the rebalancer's move queue
+   - a member whose (group, index) sits in the pending-move queue
      is about to be rebuilt elsewhere — reading from it risks racing the
      migration's remap;
    - a member whose failure detector says Suspect/Probation is already

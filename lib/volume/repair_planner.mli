@@ -18,7 +18,7 @@ val create :
   t
 (** [pool_of] maps a group member index to its hosting pool node,
     [draining] says whether a pool node has weight 0, [queued] whether
-    the member is in the rebalancer's move queue.  All three are
+    the member is in the pending-move queue.  All three are
     consulted live on every [rank] call, so placement changes take
     effect immediately. *)
 

@@ -61,9 +61,8 @@ type t = {
   pool : pool_node array ref; (* grows on add_node; read through !() *)
   groups : group array;
   client_nodes : (int, Net.node) Hashtbl.t;
-  pending_moves : Placement.move Queue.t; (* rebalancer's work queue *)
+  pending_moves : Placement.move Queue.t; (* migrations not yet started *)
   queued_slots : (int * int, unit) Hashtbl.t; (* (group, index) queued *)
-  claims : (int, unit) Hashtbl.t; (* groups under repair/rebalance *)
   ilog : integrity_log;
   planners : (int * int, Repair_planner.t) Hashtbl.t; (* (id, group) *)
   mutable note_hooks : (float -> string -> unit) list;
@@ -209,7 +208,6 @@ let create ?(net_config = Net.default_config) ?(rotate = true) ?(seed = 0xEC5)
     client_nodes = Hashtbl.create 8;
     pending_moves = Queue.create ();
     queued_slots = Hashtbl.create 16;
-    claims = Hashtbl.create 8;
     ilog;
     planners = Hashtbl.create 8;
     note_hooks = [];
@@ -331,7 +329,7 @@ let schedule_blip t ~at ~node ~down_for =
   Engine.schedule t.engine ~at:(at +. down_for) (fun () ->
       revive_node t node)
 
-(* Supervisor-driven failover (Sec 3.5 remap, but event-driven): every
+(* Failover (Sec 3.5 remap, but event-driven): every
    member hosted on the dead pool node is re-homed to an alive,
    least-loaded pool node not already serving that group, and its
    directory entry remapped to a fresh generation (INIT slots on the new
@@ -400,14 +398,14 @@ let fail_over ?only t ~node =
 (* ------------------------------------------------------------------ *)
 (* Elastic membership.  [add_node]/[drain_node] change the topology,
    re-run the placement selector and enqueue the resulting diff as
-   pending moves; the {!Rebalancer} drains the queue and performs the
+   pending moves; {!Background} drains the queue and performs the
    actual live migration (reassign + remap + Fig 6 rebuild).  Nothing
    migrates synchronously — capacity changes are cheap metadata edits,
    the data follows under the background budget. *)
 
 (* Queue the placement diff, deduplicating on (group, index): a member
    already scheduled to move keeps its first destination until the
-   rebalancer picks it up (it re-validates against the live placement
+   scheduler picks it up (it re-validates against the live placement
    anyway). *)
 let plan_rebalance t =
   let fresh =
@@ -445,32 +443,6 @@ let take_move t =
   | Some mv ->
     Hashtbl.remove t.queued_slots (mv.Placement.mv_group, mv.mv_index);
     Some mv
-
-let requeue_move t mv =
-  if not (Hashtbl.mem t.queued_slots (mv.Placement.mv_group, mv.mv_index))
-  then begin
-    Hashtbl.replace t.queued_slots (mv.Placement.mv_group, mv.mv_index) ();
-    Queue.push mv t.pending_moves
-  end
-
-(* Per-group exclusion between the supervisor's targeted repair and the
-   rebalancer's migrations: whoever claims the group first finishes its
-   pass before the other touches any of the group's stripes.  Claims
-   are advisory fiber-level locks — holders must release in a
-   [Fun.protect] finally. *)
-let try_claim_group t g =
-  if g < 0 || g >= Array.length t.groups then
-    invalid_arg "Shard_cluster.try_claim_group: group out of range";
-  if Hashtbl.mem t.claims g then false
-  else begin
-    Hashtbl.replace t.claims g ();
-    true
-  end
-
-let release_group t g =
-  if not (Hashtbl.mem t.claims g) then
-    invalid_arg "Shard_cluster.release_group: group not claimed";
-  Hashtbl.remove t.claims g
 
 (* ------------------------------------------------------------------ *)
 (* At-rest integrity faults, addressed by (group, member index, slot).
@@ -711,7 +683,7 @@ let make_group_client t ~id ~group =
   (* Aggregate every client's per-member failure detector into
      pool-node-level health events: member index -> hosting pool node
      via the (current) placement.  Hooks must only enqueue (they fire
-     inside a transport call stack — see Supervisor). *)
+     inside a transport call stack — see Background). *)
   Health.on_transition (Client.health c) (fun (tr : Health.transition) ->
       if t.pool_health_hooks <> [] then begin
         let p = Placement.member t.placement ~group ~index:tr.Health.node in

@@ -148,7 +148,7 @@ val fail_over : ?only:int list -> t -> node:int -> int list
 
     Capacity changes are metadata-only: they edit the topology, re-run
     the placement selector and enqueue the member-migration diff.  The
-    {!Rebalancer} drains the queue in the background, rebuilding each
+    {!Background} scheduler drains the queue, rebuilding each
     moved member on its new home through the Fig 6 recovery path while
     client traffic continues. *)
 
@@ -173,17 +173,6 @@ val plan_rebalance : t -> Placement.move list
     by {!add_node} and {!drain_node}. *)
 
 val take_move : t -> Placement.move option
-val requeue_move : t -> Placement.move -> unit
-(** {1 Repair/rebalance coordination}
-
-    Advisory per-group claims: the supervisor's targeted repair and the
-    rebalancer's migrations both claim a group before touching its
-    stripes, so the two never recover the same stripe concurrently.
-    Holders must release in a [Fun.protect] finally. *)
-
-val try_claim_group : t -> int -> bool
-val release_group : t -> int -> unit
-
 (** {1 At-rest integrity faults}
 
     Silent faults below the protocol, drawn from a seeded {!Injector}
@@ -236,7 +225,7 @@ val on_pool_health :
     translated to its hosting pool node (current placement) and every
     hook runs.  Hooks fire synchronously inside the observing client's
     call stack — they must only record/enqueue, never call back into
-    the protocol (see {!Supervisor}). *)
+    the protocol (see {!Background}). *)
 
 val transport : t -> id:int -> group:int -> Transport.t
 (** Transport for client [id] addressing one group.  All groups of one

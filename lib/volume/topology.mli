@@ -11,8 +11,8 @@
     dense and never reused) and {!set_weight} shrinks a node's share —
     weight [0.] marks it draining/retired, and the placement stops
     selecting it.  Both only take effect on the next
-    {!Placement.plan}; nothing moves until the rebalancer applies the
-    diff. *)
+    {!Placement.plan}; nothing moves until the background scheduler
+    applies the diff. *)
 
 type level = Disk | Host | Rack | Zone
 
