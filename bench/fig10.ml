@@ -13,13 +13,12 @@ let block_size = 1024
 let run_load ?(strategy = Config.Parallel) ~k ~n ~clients ~write ~duration () =
   let cfg = Config.make ~strategy ~t_p:1 ~block_size ~k ~n () in
   let cluster = Shard_cluster.create ~remap_policy:`Auto cfg in
-  let workload =
-    if write then Generator.Write_only { blocks = 8192 }
-    else Generator.Read_only { blocks = 8192 }
+  let profile =
+    Profile.closed ~outstanding:8 ~write_frac:(if write then 1. else 0.) ()
   in
   let r =
-    Vrunner.run ~outstanding:8 ~warmup:0.02 ~gc_every:(Some 0.1) ~sc:cluster
-      ~clients ~duration ~workload ()
+    Vrunner.run_profile ~warmup:0.02 ~gc_every:(Some 0.1) ~blocks:8192
+      ~sc:cluster ~tenants:(Vrunner.clients clients profile) ~duration ()
   in
   if write then r.Vrunner.run.write_mbs else r.Vrunner.run.read_mbs
 

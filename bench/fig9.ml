@@ -17,9 +17,11 @@ let make_cluster ?(strategy = Config.Parallel) ~k ~n () =
 let write_tput ~k ~n ~clients ~outstanding ~duration =
   let cluster = make_cluster ~k ~n () in
   let r =
-    Vrunner.run ~outstanding ~warmup:0.02 ~sc:cluster ~clients ~duration
-      ~workload:(Generator.Write_only { blocks = 4096 })
-      ()
+    Vrunner.run_profile ~warmup:0.02 ~blocks:4096 ~sc:cluster
+      ~tenants:
+        (Vrunner.clients clients
+           (Profile.closed ~outstanding ~write_frac:1. ()))
+      ~duration ()
   in
   r.Vrunner.run.write_mbs
 
@@ -97,13 +99,14 @@ let fig9d () =
   let cluster = make_cluster ~k:3 ~n:5 () in
   let samples = ref [] in
   let { Vrunner.run = result; _ } =
-    Vrunner.run ~outstanding:8 ~warmup:0.02
+    Vrunner.run_profile ~warmup:0.02
       ~events:[ (0.42, fun sc -> Shard_cluster.replace_node sc 1) ]
       ~on_sample:(fun t ~read_mbs ~write_mbs ->
         samples := (t, read_mbs +. write_mbs) :: !samples)
-      ~sample_every:0.05 ~sc:cluster ~clients:2 ~duration:1.5
-      ~workload:(Generator.Random_mix { blocks = 3000; write_frac = 0.5 })
-      ()
+      ~sample_every:0.05 ~blocks:3000 ~sc:cluster
+      ~tenants:
+        (Vrunner.clients 2 (Profile.closed ~outstanding:8 ~write_frac:0.5 ()))
+      ~duration:1.5 ()
   in
   Table.print_series ~title:"total throughput over time (0.05 s windows)"
     ~x_label:"t (s)"

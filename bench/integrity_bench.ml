@@ -36,10 +36,10 @@ let overhead_run ~verified =
   let cluster = Shard_cluster.create ~remap_policy:`Auto ~seed:0xEC0 cfg in
   let ck = Checker.create () in
   let { Vrunner.run; failures; _ } =
-    Vrunner.run ~outstanding:4 ~check:ck ~sc:cluster ~clients:4
-      ~duration:overhead_duration
-      ~workload:(Generator.Random_mix { blocks = 64; write_frac = 0.2 })
-      ()
+    Vrunner.run_profile ~check:ck ~blocks:64 ~sc:cluster
+      ~tenants:
+        (Vrunner.clients 4 (Profile.closed ~outstanding:4 ~write_frac:0.2 ()))
+      ~duration:overhead_duration ()
   in
   let consistent =
     match Checker.check ck with Ok _ -> true | Error _ -> false
@@ -123,10 +123,12 @@ let lag_run ~rate =
   in
   let sc = Shard_cluster.create ~seed:0xEC5 ~placement cfg in
   let snaps = lag_setup sc cfg in
-  Vrunner.run ~outstanding:4
+  Vrunner.run_profile
     ~events:[ (inject_at, lag_inject snaps) ]
-    ~background:(rate, [ Scrub scrub_period ])  ~sc ~clients:4
-    ~duration:lag_duration ~workload:(Generator.Read_only { blocks = 48 }) ()
+    ~background:(rate, [ Scrub scrub_period ]) ~blocks:48 ~sc
+    ~tenants:
+      (Vrunner.clients 4 (Profile.closed ~outstanding:4 ~write_frac:0. ()))
+    ~duration:lag_duration ()
 
 let mean = function
   | [] -> 0.

@@ -197,10 +197,11 @@ let validate () =
         in
         let cluster = Shard_cluster.create ~remap_policy:`Auto cfg in
         let r =
-          Vrunner.run ~outstanding:32 ~warmup:0.02 ~sc:cluster ~clients:2
-            ~duration:0.1
-            ~workload:(Generator.Write_only { blocks = 4096 })
-            ()
+          Vrunner.run_profile ~warmup:0.02 ~blocks:4096 ~sc:cluster
+            ~tenants:
+              (Vrunner.clients 2
+                 (Profile.closed ~outstanding:32 ~write_frac:1. ()))
+            ~duration:0.1 ()
         in
         let err =
           100. *. Float.abs (r.Vrunner.run.write_mbs -. analytic) /. analytic
@@ -222,19 +223,21 @@ let rw_ratio () =
   Bench_util.section
     "Sec 6.2: read throughput vs write throughput (paper: reads typically \
      4-5x writes)";
-  let tput workload =
+  let tput write_frac =
     let cfg =
       Config.make ~strategy:Config.Parallel ~t_p:1 ~block_size ~k:3 ~n:5 ()
     in
     let cluster = Shard_cluster.create ~remap_policy:`Auto cfg in
     let r =
-      Vrunner.run ~outstanding:32 ~warmup:0.02 ~sc:cluster ~clients:2
-        ~duration:0.1 ~workload ()
+      Vrunner.run_profile ~warmup:0.02 ~blocks:4096 ~sc:cluster
+        ~tenants:
+          (Vrunner.clients 2 (Profile.closed ~outstanding:32 ~write_frac ()))
+        ~duration:0.1 ()
     in
     (r.Vrunner.run.read_mbs, r.Vrunner.run.write_mbs)
   in
-  let _, w = tput (Generator.Write_only { blocks = 4096 }) in
-  let r, _ = tput (Generator.Read_only { blocks = 4096 }) in
+  let _, w = tput 1. in
+  let r, _ = tput 0. in
   Printf.printf
     "2 clients, 32 outstanding, 3-of-5: reads %.1f MB/s vs writes %.1f MB/s \
      = %.1fx (paper: 4-5x; a p=2 write moves (p+2)B=4B of client bytes per \
@@ -359,11 +362,12 @@ let ablation_gc () =
     in
     let cluster = Shard_cluster.create ~remap_policy:`Auto cfg in
     let r =
-      Vrunner.run ~outstanding:4 ~warmup:0.01
+      Vrunner.run_profile ~warmup:0.01
         ~gc_every:(if gc then Some 0.02 else None)
-        ~sc:cluster ~clients:2 ~duration:0.2
-        ~workload:(Generator.Write_only { blocks = 64 })
-        ()
+        ~blocks:64 ~sc:cluster
+        ~tenants:
+          (Vrunner.clients 2 (Profile.closed ~outstanding:4 ~write_frac:1. ()))
+        ~duration:0.2 ()
     in
     let overhead =
       List.fold_left
@@ -397,11 +401,12 @@ let ablation_rotation () =
     in
     let cluster = Shard_cluster.create ~remap_policy:`Auto ~rotate cfg in
     let r =
-      Vrunner.run ~outstanding:16 ~warmup:0.01 ~sc:cluster ~clients:2
-        ~duration:0.1
-        ~workload:
-          (Generator.Sequential { start = 0; count = 8192; op = Generator.Op_write })
-        ()
+      Vrunner.run_profile ~warmup:0.01 ~blocks:8192 ~sc:cluster
+        ~tenants:
+          (Vrunner.clients 2
+             (Profile.closed ~sequential:true ~outstanding:16
+                ~write_frac:1. ()))
+        ~duration:0.1 ()
     in
     let loads =
       List.init 5 (fun i ->
@@ -424,14 +429,17 @@ let ablation_hotspot () =
   Bench_util.section
     "Ablation: uniform vs Zipf-skewed workload (same-block write contention \
      exercises the otid ORDER path)";
-  let run workload label =
+  let run ?theta blocks label =
     let cfg =
       Config.make ~strategy:Config.Parallel ~t_p:1 ~block_size ~k:3 ~n:5 ()
     in
     let cluster = Shard_cluster.create ~remap_policy:`Auto cfg in
     let r =
-      Vrunner.run ~outstanding:4 ~warmup:0.02 ~sc:cluster ~clients:4
-        ~duration:0.1 ~workload ()
+      Vrunner.run_profile ~warmup:0.02 ~blocks ~sc:cluster
+        ~tenants:
+          (Vrunner.clients 4
+             (Profile.closed ?theta ~outstanding:4 ~write_frac:0.5 ()))
+        ~duration:0.1 ()
     in
     let stats = Shard_cluster.stats cluster in
     [
@@ -447,9 +455,9 @@ let ablation_hotspot () =
        under contention"
     ~header:[ "workload"; "write MB/s"; "write lat (ms)"; "checktid msgs" ]
     [
-      run (Generator.Random_mix { blocks = 4096; write_frac = 0.5 }) "uniform 4096 blocks";
-      run (Generator.Zipf { blocks = 4096; write_frac = 0.5; theta = 0.9 }) "zipf theta=0.9";
-      run (Generator.Random_mix { blocks = 4; write_frac = 0.5 }) "4 hot blocks";
+      run 4096 "uniform 4096 blocks";
+      run ~theta:0.9 4096 "zipf theta=0.9";
+      run 4 "4 hot blocks";
     ]
 
 let run () =

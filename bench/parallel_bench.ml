@@ -59,17 +59,6 @@ let profile () =
   | Some p -> p
   | None -> List.hd Profile.all
 
-(* Percentile over a merged latency sample (nearest-rank). *)
-let percentile samples q =
-  match samples with
-  | [||] -> 0.
-  | s ->
-    let s = Array.copy s in
-    Array.sort compare s;
-    let n = Array.length s in
-    let idx = min (n - 1) (int_of_float (ceil (q *. float_of_int n)) - 1) in
-    s.(max 0 idx)
-
 type writer_out = {
   wo_lat : float array;  (* per-request latency, seconds *)
   wo_reads : int;
@@ -96,12 +85,12 @@ let writer_body env ~cfg ~w () =
     let i = r.Profile.block mod k in
     let t0 = Unix.gettimeofday () in
     (match r.Profile.op with
-    | Generator.Op_write ->
+    | Profile.Op_write ->
       incr writes;
       Bytes.fill block 0 (Bytes.length block)
         (Char.chr ((op + (37 * w)) land 0xff));
       ignore (Client.write c ~slot ~i block)
-    | Generator.Op_read ->
+    | Profile.Op_read ->
       incr reads;
       ignore (Client.read c ~slot ~i));
     lat.(op) <- Unix.gettimeofday () -. t0
@@ -137,8 +126,8 @@ let scaling_run ~domains =
   let outs = List.map Domain.join doms in
   let elapsed = Unix.gettimeofday () -. t0 in
   Par_env.shutdown env;
-  let lat = Array.concat (List.map (fun o -> o.wo_lat) outs) in
-  let ops = Array.length lat in
+  let lat = List.concat_map (fun o -> Array.to_list o.wo_lat) outs in
+  let ops = List.length lat in
   let reads = List.fold_left (fun a o -> a + o.wo_reads) 0 outs in
   let writes = List.fold_left (fun a o -> a + o.wo_writes) 0 outs in
   let bytes = ops * block_size in
@@ -149,8 +138,8 @@ let scaling_run ~domains =
      ops (%d r / %d w) in %.3f s\n\
      %!"
     domains mbs iops
-    (1000. *. percentile lat 0.50)
-    (1000. *. percentile lat 0.99)
+    (1000. *. Vrunner.percentile 0.50 lat)
+    (1000. *. Vrunner.percentile 0.99 lat)
     ops reads writes elapsed;
   let open Report in
   ( mbs,
@@ -163,8 +152,8 @@ let scaling_run ~domains =
         ("elapsed_s", J_float (elapsed, 4));
         ("mbs", J_float (mbs, 3));
         ("iops", J_float (iops, 1));
-        ("p50_ms", J_float (1000. *. percentile lat 0.50, 4));
-        ("p99_ms", J_float (1000. *. percentile lat 0.99, 4));
+        ("p50_ms", J_float (1000. *. Vrunner.percentile 0.50 lat, 4));
+        ("p99_ms", J_float (1000. *. Vrunner.percentile 0.99 lat, 4));
       ] )
 
 (* CPU-bound leg: no service time, big blocks, writes only.  On a

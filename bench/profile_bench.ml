@@ -71,7 +71,7 @@ let one_run ?(faulted = false) ~profile ~groups () =
 
 let ms s = 1000. *. s
 
-let size_entries (r : Vrunner.profile_result) =
+let size_entries (r : Vrunner.result) =
   let open Report in
   List.map
     (fun (size, (ss : Vrunner.size_stats)) ->
@@ -86,7 +86,7 @@ let size_entries (r : Vrunner.profile_result) =
         ])
     r.Vrunner.pf_sizes
 
-let result_fields (r : Vrunner.profile_result) =
+let result_fields (r : Vrunner.result) =
   let open Report in
   [
     ("read_reqs", J_int r.Vrunner.pf_read_reqs);
@@ -104,7 +104,7 @@ let result_fields (r : Vrunner.profile_result) =
     ("max_inflight", J_int r.Vrunner.pf_max_inflight);
   ]
 
-let print_line ~label (r : Vrunner.profile_result) =
+let print_line ~label (r : Vrunner.result) =
   Printf.printf
     "%-34s %6.2f MB/s (r %6.2f + w %6.2f) | p99 r %6.2f ms, w %6.2f ms | \
      drops %4d | inflight %5.1f\n\

@@ -226,11 +226,11 @@ let frontier_run ~floor ~outage =
   in
   let ck = Checker.create () in
   let r =
-    Vrunner.run ~outstanding:4 ~events ~background:(4000., [ Monitor; Supervise ])
-       ~gc_every:(Some frontier_gc_every) ~check:ck ~sc
-      ~clients:4 ~duration:frontier_duration
-      ~workload:(Generator.Random_mix { blocks = 128; write_frac = 0.5 })
-      ()
+    Vrunner.run_profile ~events ~background:(4000., [ Monitor; Supervise ])
+      ~gc_every:(Some frontier_gc_every) ~check:ck ~blocks:128 ~sc
+      ~tenants:
+        (Vrunner.clients 4 (Profile.closed ~outstanding:4 ~write_frac:0.5 ()))
+      ~duration:frontier_duration ()
   in
   let consistent =
     match Checker.check ck with Ok _ -> true | Error _ -> false
@@ -271,8 +271,8 @@ let frontier_fields ~label ~floor ~outage_ms victims (r : Vrunner.result)
     ("bytes_read", J_int r.Vrunner.repair_bytes_read);
     ("bytes_shipped", J_int r.Vrunner.repair_bytes_shipped);
     ("mttr_ms", mttr_ms);
-    ("p99_write_ms", J_float (1000. *. r.Vrunner.p99_write, 4));
-    ("write_stalls", J_int r.Vrunner.write_stalls);
+    ("p99_write_ms", J_float (1000. *. r.Vrunner.pf_p99_write, 4));
+    ("write_stalls", J_int r.Vrunner.failures.write_stuck);
     ("history_consistent", J_bool consistent);
   ]
 

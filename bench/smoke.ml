@@ -166,9 +166,10 @@ let run ?json () =
   in
   let ck = Checker.create () in
   let { Vrunner.run = result; failures; _ } =
-    Vrunner.run ~outstanding:4 ~check:ck ~sc:cluster ~clients:4 ~duration:0.5
-      ~workload:(Generator.Random_mix { blocks = 64; write_frac = 0.5 })
-      ()
+    Vrunner.run_profile ~check:ck ~blocks:64 ~sc:cluster
+      ~tenants:
+        (Vrunner.clients 4 (Profile.closed ~outstanding:4 ~write_frac:0.5 ()))
+      ~duration:0.5 ()
   in
   Report.print_run ~label:"smoke 3-of-5, 2% loss + dup" result;
   Report.print_failures ~label:"smoke 3-of-5, 2% loss + dup" failures;

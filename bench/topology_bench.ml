@@ -61,12 +61,12 @@ let scale_run ~groups =
   let sc = Shard_cluster.create ~seed:0xB0 ~placement (cfg ()) in
   let ck = Checker.create () in
   let r =
-    Vrunner.run ~outstanding:scale_outstanding ~background:(maintenance_budget, [ Monitor ])
-       ~check:ck ~sc ~clients:scale_clients
-      ~duration:scale_duration
-      ~workload:
-        (Generator.Random_mix { blocks = 256 * groups; write_frac = 0.5 })
-      ()
+    Vrunner.run_profile ~background:(maintenance_budget, [ Monitor ])
+      ~check:ck ~blocks:(256 * groups) ~sc
+      ~tenants:
+        (Vrunner.clients scale_clients
+           (Profile.closed ~outstanding:scale_outstanding ~write_frac:0.5 ()))
+      ~duration:scale_duration ()
   in
   let consistent =
     match Checker.check ck with Ok _ -> true | Error _ -> false
@@ -94,6 +94,9 @@ let elastic_budget = 8000.
 let elastic_blocks = 32 * elastic_groups
 let change_at = 0.05
 
+let elastic_clients () =
+  Vrunner.clients 4 (Profile.closed ~outstanding:8 ~write_frac:0.5 ())
+
 type elastic_outcome = {
   eo_result : Vrunner.result;
   eo_consistent : bool;
@@ -114,13 +117,10 @@ let elastic_run ~event =
   in
   let ck = Checker.create () in
   let r =
-    Vrunner.run ~outstanding:8 ~events:[ (change_at, event) ]
-      ~background:(elastic_budget, [ Monitor; Rebalance ]) 
-      ~check:ck ~sc ~clients:4
-      ~duration:elastic_duration
-      ~workload:
-        (Generator.Random_mix { blocks = elastic_blocks; write_frac = 0.5 })
-      ()
+    Vrunner.run_profile ~events:[ (change_at, event) ]
+      ~background:(elastic_budget, [ Monitor; Rebalance ])
+      ~check:ck ~blocks:elastic_blocks ~sc ~tenants:(elastic_clients ())
+      ~duration:elastic_duration ()
   in
   let consistent =
     match Checker.check ck with Ok _ -> true | Error _ -> false
@@ -195,13 +195,10 @@ let rack_outage_run () =
   in
   let ck = Checker.create () in
   let r =
-    Vrunner.run ~outstanding:8 ~events:[ (outage_at, event) ]
-      ~background:(elastic_budget, [ Monitor; Supervise ]) 
-      ~check:ck ~sc ~clients:4
-      ~duration:elastic_duration
-      ~workload:
-        (Generator.Random_mix { blocks = elastic_blocks; write_frac = 0.5 })
-      ()
+    Vrunner.run_profile ~events:[ (outage_at, event) ]
+      ~background:(elastic_budget, [ Monitor; Supervise ])
+      ~check:ck ~blocks:elastic_blocks ~sc ~tenants:(elastic_clients ())
+      ~duration:elastic_duration ()
   in
   let consistent =
     match Checker.check ck with Ok _ -> true | Error _ -> false

@@ -56,11 +56,12 @@ let one_run ~groups ~faulted =
   in
   let ck = Checker.create () in
   let r =
-    Vrunner.run ~outstanding ~events ~background:(maintenance_budget, [ Monitor ])
-       ~check:ck ~sc ~clients ~duration
-      ~workload:
-        (Generator.Random_mix { blocks = 256 * groups; write_frac = 0.5 })
-      ()
+    Vrunner.run_profile ~events ~background:(maintenance_budget, [ Monitor ])
+      ~check:ck ~blocks:(256 * groups) ~sc
+      ~tenants:
+        (Vrunner.clients clients
+           (Profile.closed ~outstanding ~write_frac:0.5 ()))
+      ~duration ()
   in
   let consistent =
     match Checker.check ck with Ok _ -> true | Error _ -> false
@@ -73,9 +74,9 @@ let variant_fields (r : Vrunner.result) consistent =
   run_fields r.Vrunner.run
   @ failure_fields r.Vrunner.failures
   @ [
-      ("p99_read_ms", J_float (1000. *. r.Vrunner.p99_read, 4));
-      ("p99_write_ms", J_float (1000. *. r.Vrunner.p99_write, 4));
-      ("write_stalls", J_int r.Vrunner.write_stalls);
+      ("p99_read_ms", J_float (1000. *. r.Vrunner.pf_p99_read, 4));
+      ("p99_write_ms", J_float (1000. *. r.Vrunner.pf_p99_write, 4));
+      ("write_stalls", J_int r.Vrunner.failures.write_stuck);
       ("recoveries", J_float (r.Vrunner.run.Report.recoveries, 0));
       ("maintenance_passes", J_int bg.maintenance_passes);
       ("maintenance_gc_rounds", J_int bg.maintenance_gc_rounds);
@@ -131,9 +132,10 @@ let hedge_run ~health =
   in
   let ck = Checker.create () in
   let r =
-    Vrunner.run ~outstanding:4 ~events ~check:ck ~sc ~clients:4 ~duration:0.3
-      ~workload:(Generator.Random_mix { blocks = 64; write_frac = 0.3 })
-      ()
+    Vrunner.run_profile ~events ~check:ck ~blocks:64 ~sc
+      ~tenants:
+        (Vrunner.clients 4 (Profile.closed ~outstanding:4 ~write_frac:0.3 ()))
+      ~duration:0.3 ()
   in
   let consistent =
     match Checker.check ck with Ok _ -> true | Error _ -> false
@@ -154,10 +156,11 @@ let self_heal_run () =
   let events = [ (heal_crash_at, fun sc -> Shard_cluster.crash_node sc down) ] in
   let ck = Checker.create () in
   let r =
-    Vrunner.run ~outstanding:4 ~events ~background:(4000., [ Monitor; Supervise ])
-       ~check:ck ~sc ~clients:4 ~duration:0.4
-      ~workload:(Generator.Random_mix { blocks = 128; write_frac = 0.5 })
-      ()
+    Vrunner.run_profile ~events ~background:(4000., [ Monitor; Supervise ])
+      ~check:ck ~blocks:128 ~sc
+      ~tenants:
+        (Vrunner.clients 4 (Profile.closed ~outstanding:4 ~write_frac:0.5 ()))
+      ~duration:0.4 ()
   in
   let consistent =
     match Checker.check ck with Ok _ -> true | Error _ -> false
@@ -172,8 +175,8 @@ let health_entries () =
     hedged.Vrunner.failures;
   Report.print_run ~label:"degraded reads (legacy)" unhedged.Vrunner.run;
   Printf.printf "%-34s    p99 read %.2f ms full vs %.2f ms legacy\n%!" ""
-    (1000. *. hedged.Vrunner.p99_read)
-    (1000. *. unhedged.Vrunner.p99_read);
+    (1000. *. hedged.Vrunner.pf_p99_read)
+    (1000. *. unhedged.Vrunner.pf_p99_read);
   let down, heal, heal_ok = self_heal_run () in
   let bg = heal.Vrunner.background in
   let detect_latency =
@@ -239,8 +242,8 @@ let run ?json () =
            recoveries %d | consistent %b/%b\n\
            %!"
           ""
-          (1000. *. clean.Vrunner.p99_write)
-          (1000. *. faulted.Vrunner.p99_write)
+          (1000. *. clean.Vrunner.pf_p99_write)
+          (1000. *. faulted.Vrunner.pf_p99_write)
           faulted.Vrunner.background.maintenance_passes
           faulted.Vrunner.background.maintenance_recoveries clean_ok
           faulted_ok;

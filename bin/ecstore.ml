@@ -87,9 +87,10 @@ let simulate k n strategy t_p clients outstanding duration write_frac blocks
         ]
     in
     let result =
-      Vrunner.run ~outstanding ~warmup:0.02 ~events ~sc:cluster ~clients
-        ~duration ~workload:(Generator.Random_mix { blocks; write_frac })
-        ()
+      Vrunner.run_profile ~warmup:0.02 ~events ~blocks ~sc:cluster
+        ~tenants:
+          (Vrunner.clients clients (Profile.closed ~outstanding ~write_frac ()))
+        ~duration ()
     in
     Report.print_run ~label:"result" result.Vrunner.run;
     let stats = Shard_cluster.stats cluster in

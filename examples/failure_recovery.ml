@@ -18,7 +18,7 @@ let () =
 
   let samples = ref [] in
   let { Vrunner.run = result; _ } =
-    Vrunner.run ~outstanding:4 ~warmup:0.01
+    Vrunner.run_profile ~warmup:0.01
       ~events:
         [
           ( 0.05,
@@ -28,9 +28,10 @@ let () =
         ]
       ~on_sample:(fun t ~read_mbs ~write_mbs ->
         samples := (t, read_mbs +. write_mbs) :: !samples)
-      ~sample_every:0.01 ~sc:cluster ~clients:2 ~duration:0.15
-      ~workload:(Generator.Random_mix { blocks = 60; write_frac = 0.5 })
-      ()
+      ~sample_every:0.01 ~blocks:60 ~sc:cluster
+      ~tenants:
+        (Vrunner.clients 2 (Profile.closed ~outstanding:4 ~write_frac:0.5 ()))
+      ~duration:0.15 ()
   in
   Printf.printf "\nthroughput timeline (10 ms windows):\n";
   List.iter

@@ -75,12 +75,12 @@ let () =
     done
   in
   let r =
-    Vrunner.run ~outstanding:4
+    Vrunner.run_profile
       ~events:[ (inject_at, inject) ]
-      ~background:(4800., [ Scrub 0.01 ])  ~sc ~clients:4
-      ~duration:0.5
-      ~workload:(Generator.Read_only { blocks = 48 })
-      ()
+      ~background:(4800., [ Scrub 0.01 ]) ~blocks:48 ~sc
+      ~tenants:
+        (Vrunner.clients 4 (Profile.closed ~outstanding:4 ~write_frac:0. ()))
+      ~duration:0.5 ()
   in
 
   Printf.printf "what the integrity layers did:\n";

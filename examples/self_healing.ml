@@ -34,10 +34,11 @@ let () =
     (1000. *. crash_at);
   let events = [ (crash_at, fun sc -> Shard_cluster.crash_node sc victim) ] in
   let r =
-    Vrunner.run ~outstanding:4 ~events ~background:(4000., [ Monitor; Supervise ])
-       ~sc ~clients:4 ~duration:0.4
-      ~workload:(Generator.Random_mix { blocks = 128; write_frac = 0.5 })
-      ()
+    Vrunner.run_profile ~events ~background:(4000., [ Monitor; Supervise ])
+      ~blocks:128 ~sc
+      ~tenants:
+        (Vrunner.clients 4 (Profile.closed ~outstanding:4 ~write_frac:0.5 ()))
+      ~duration:0.4 ()
   in
 
   let bg = r.Vrunner.background in
@@ -64,7 +65,7 @@ let () =
   Printf.printf "what the foreground noticed:\n";
   Printf.printf "  %d reads + %d writes completed; %d writes stalled\n"
     r.Vrunner.run.Report.read_ops r.Vrunner.run.Report.write_ops
-    r.Vrunner.write_stalls;
+    r.Vrunner.failures.Report.write_stuck;
   Printf.printf
     "  hedged reads launched: %d (won %d)   breaker fast-fails: %d\n\n"
     r.Vrunner.failures.Report.hedges r.Vrunner.failures.Report.hedge_wins

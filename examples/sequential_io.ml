@@ -15,10 +15,11 @@ let run_sequential ~rotate =
   in
   let cluster = Shard_cluster.create ~remap_policy:`Auto ~rotate cfg in
   let { Vrunner.run = result; _ } =
-    Vrunner.run ~outstanding:16 ~warmup:0.01 ~sc:cluster ~clients:1
-      ~duration:0.2
-      ~workload:(Generator.Sequential { start = 0; count = 4096; op = Generator.Op_write })
-      ()
+    Vrunner.run_profile ~warmup:0.01 ~blocks:4096 ~sc:cluster
+      ~tenants:
+        (Vrunner.clients 1
+           (Profile.closed ~sequential:true ~outstanding:16 ~write_frac:1. ()))
+      ~duration:0.2 ()
   in
   (* Per-node receive bytes show the load distribution. *)
   let loads =

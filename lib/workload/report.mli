@@ -29,7 +29,7 @@ type run = {
     for every run. *)
 type failures = {
   write_abandoned : int;  (** ambiguous swap timeouts *)
-  write_stuck : int;  (** writes that drained a retry limit *)
+  write_stuck : int;  (** block ops, reads too, that drained a retry limit *)
   hedges : int;  (** hedged reads launched *)
   hedge_wins : int;  (** hedges whose degraded decode won the race *)
   fast_fails : int;  (** circuit-breaker fast-fails *)

@@ -87,10 +87,12 @@ let random_history_run ~strategy ~seed ~clients ~crash_storage ~crash_client ()
   if crash_client then
     events := (0.03, fun cl -> Shard_cluster.crash_client cl 0) :: !events;
   let result =
-    Vrunner.run ~outstanding:2 ~warmup:0.0 ~events:!events ~check:ck ~sc:cluster
-      ~clients ~duration:0.12
-      ~workload:(Generator.Random_mix { blocks = 12; write_frac = 0.5 })
-      ()
+    Vrunner.run_profile ~warmup:0.0 ~events:!events ~check:ck ~blocks:12
+      ~sc:cluster
+      ~tenants:
+        (Vrunner.clients clients
+           (Profile.closed ~outstanding:2 ~write_frac:0.5 ()))
+      ~duration:0.12 ()
   in
   (* If a client crashed mid-run there may be torn stripes; run the
      monitor from a fresh client to restore full redundancy, then check

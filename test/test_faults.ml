@@ -232,10 +232,10 @@ let faulty_run seed =
       Buffer.add_string trace (Printf.sprintf "%.9f %s\n" now event));
   let ck = Checker.create () in
   let result =
-    Vrunner.run ~outstanding:2 ~warmup:0.0 ~check:ck ~sc:cluster ~clients:2
-      ~duration:0.05
-      ~workload:(Generator.Random_mix { blocks = 12; write_frac = 0.5 })
-      ()
+    Vrunner.run_profile ~warmup:0.0 ~check:ck ~blocks:12 ~sc:cluster
+      ~tenants:
+        (Vrunner.clients 2 (Profile.closed ~outstanding:2 ~write_frac:0.5 ()))
+      ~duration:0.05 ()
   in
   (match Checker.check ck with
   | Ok _ -> ()

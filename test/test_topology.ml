@@ -346,10 +346,11 @@ let test_rack_outage_consistent () =
   in
   let ck = Checker.create () in
   let r =
-    Vrunner.run ~outstanding:4 ~events ~background:(3000., [ Monitor; Supervise ])
-       ~check:ck ~sc ~clients:4 ~duration:0.3
-      ~workload:(Generator.Random_mix { blocks = 48; write_frac = 0.5 })
-      ()
+    Vrunner.run_profile ~events ~background:(3000., [ Monitor; Supervise ])
+      ~check:ck ~blocks:48 ~sc
+      ~tenants:
+        (Vrunner.clients 4 (Profile.closed ~outstanding:4 ~write_frac:0.5 ()))
+      ~duration:0.3 ()
   in
   let bg = r.Vrunner.background in
   Alcotest.(check bool) "made progress" true
@@ -388,11 +389,12 @@ let test_join_drain_consistent () =
   in
   let ck = Checker.create () in
   let r =
-    Vrunner.run ~outstanding:4 ~events
-      ~background:(6000., [ Monitor; Supervise; Rebalance ]) 
-      ~check:ck ~sc ~clients:4 ~duration:0.5
-      ~workload:(Generator.Random_mix { blocks = 48; write_frac = 0.5 })
-      ()
+    Vrunner.run_profile ~events
+      ~background:(6000., [ Monitor; Supervise; Rebalance ]) ~check:ck
+      ~blocks:48 ~sc
+      ~tenants:
+        (Vrunner.clients 4 (Profile.closed ~outstanding:4 ~write_frac:0.5 ()))
+      ~duration:0.5 ()
   in
   let bg = r.Vrunner.background in
   Alcotest.(check bool)
@@ -438,11 +440,12 @@ let test_crash_during_drain () =
   in
   let ck = Checker.create () in
   let r =
-    Vrunner.run ~outstanding:4 ~events:[ (0.05, drain) ]
-      ~background:(6000., [ Monitor; Supervise; Rebalance ]) 
-      ~check:ck ~sc ~clients:4 ~duration:0.5
-      ~workload:(Generator.Random_mix { blocks = 48; write_frac = 0.5 })
-      ()
+    Vrunner.run_profile ~events:[ (0.05, drain) ]
+      ~background:(6000., [ Monitor; Supervise; Rebalance ]) ~check:ck
+      ~blocks:48 ~sc
+      ~tenants:
+        (Vrunner.clients 4 (Profile.closed ~outstanding:4 ~write_frac:0.5 ()))
+      ~duration:0.5 ()
   in
   let bg = r.Vrunner.background in
   Alcotest.(check (list int)) "drained node evacuated" []

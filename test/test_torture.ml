@@ -80,10 +80,12 @@ let torture ?faults ?(remap_policy = `Auto) ?(partitions = []) ?(outages = [])
       Shard_cluster.schedule_blip cluster ~at ~node ~down_for)
     blips;
   let result =
-    Vrunner.run ~outstanding:2 ~warmup:0.0 ~events:!events ~check:ck ~sc:cluster
-      ~clients ~duration:0.15
-      ~workload:(Generator.Random_mix { blocks; write_frac = 0.5 })
-      ()
+    Vrunner.run_profile ~warmup:0.0 ~events:!events ~check:ck ~blocks
+      ~sc:cluster
+      ~tenants:
+        (Vrunner.clients clients
+           (Profile.closed ~outstanding:2 ~write_frac:0.5 ()))
+      ~duration:0.15 ()
   in
   (* Post-run repair pass from a fresh client, then verify everything.
      Any still-open partition would wrongly read as an unrepairable

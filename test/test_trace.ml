@@ -102,9 +102,10 @@ let metrics_of_seeded_run () =
     Shard_cluster.create ~remap_policy:`Auto ~seed:0x7ACE ~faults cfg
   in
   let result =
-    Vrunner.run ~outstanding:2 ~sc:cluster ~clients:2 ~duration:0.1
-      ~workload:(Generator.Random_mix { blocks = 16; write_frac = 0.5 })
-      ()
+    Vrunner.run_profile ~blocks:16 ~sc:cluster
+      ~tenants:
+        (Vrunner.clients 2 (Profile.closed ~outstanding:2 ~write_frac:0.5 ()))
+      ~duration:0.1 ()
   in
   (result, Metrics.to_json (Shard_cluster.group_metrics cluster 0))
 

@@ -131,9 +131,10 @@ let scaling_run ~groups ~pool =
   in
   let sc = Shard_cluster.create ~seed:0x51 ~placement cfg in
   let r =
-    Vrunner.run ~outstanding:16 ~sc ~clients:8 ~duration:0.15
-      ~workload:(Generator.Random_mix { blocks = 64 * groups; write_frac = 0.5 })
-      ()
+    Vrunner.run_profile ~blocks:(64 * groups) ~sc
+      ~tenants:
+        (Vrunner.clients 8 (Profile.closed ~outstanding:16 ~write_frac:0.5 ()))
+      ~duration:0.15 ()
   in
   r.Vrunner.run.Report.total_mbs
 
@@ -168,10 +169,11 @@ let outage_run ?(field = `Gf8) ~with_outage () =
   in
   let ck = Checker.create () in
   let r =
-    Vrunner.run ~outstanding:4 ~events ~background:(4000., [ Monitor ])
-       ~check:ck ~sc ~clients:4 ~duration:0.4
-      ~workload:(Generator.Random_mix { blocks = 128; write_frac = 0.5 })
-      ()
+    Vrunner.run_profile ~events ~background:(4000., [ Monitor ]) ~check:ck
+      ~blocks:128 ~sc
+      ~tenants:
+        (Vrunner.clients 4 (Profile.closed ~outstanding:4 ~write_frac:0.5 ()))
+      ~duration:0.4 ()
   in
   let consistent =
     match Checker.check ck with Ok _ -> true | Error _ -> false
@@ -187,7 +189,8 @@ let test_outage_repaired_in_background ~field () =
     (Printf.sprintf "background recoveries ran (%d)" bg.maintenance_recoveries)
     true
     (bg.maintenance_recoveries > 0);
-  Alcotest.(check int) "no write hit a retry limit" 0 r.Vrunner.write_stalls;
+  Alcotest.(check int) "no write hit a retry limit" 0
+    r.Vrunner.failures.Report.write_stuck;
   Alcotest.(check bool) "foreground still made progress" true
     (r.Vrunner.run.Report.write_ops > 1000)
 
@@ -197,12 +200,12 @@ let test_outage_p99_bounded () =
   (* The affected group stalls for at most the outage + repair, so the
      p99 over all writes must stay within the outage length plus slack —
      background repair must not starve the foreground indefinitely. *)
-  let bound = 0.03 +. (10. *. clean.Vrunner.p99_write) +. 0.02 in
+  let bound = 0.03 +. (10. *. clean.Vrunner.pf_p99_write) +. 0.02 in
   Alcotest.(check bool)
     (Printf.sprintf "p99 %.4fs within %.4fs (clean %.4fs)"
-       faulted.Vrunner.p99_write bound clean.Vrunner.p99_write)
+       faulted.Vrunner.pf_p99_write bound clean.Vrunner.pf_p99_write)
     true
-    (faulted.Vrunner.p99_write < bound)
+    (faulted.Vrunner.pf_p99_write < bound)
 
 (* ------------------------------------------------------------------ *)
 (* Maintenance backoff: the capped exponential per-group penalty. *)
@@ -257,10 +260,11 @@ let test_maintenance_backs_off_doomed_group () =
     ]
   in
   let r =
-    Vrunner.run ~outstanding:4 ~events ~background:(4000., [ Monitor ])
-       ~sc ~clients:4 ~duration:0.3
-      ~workload:(Generator.Random_mix { blocks = 128; write_frac = 0.5 })
-      ()
+    Vrunner.run_profile ~events ~background:(4000., [ Monitor ])
+      ~blocks:128 ~sc
+      ~tenants:
+        (Vrunner.clients 4 (Profile.closed ~outstanding:4 ~write_frac:0.5 ()))
+      ~duration:0.3 ()
   in
   let bg = r.Vrunner.background in
   Alcotest.(check bool)
@@ -298,10 +302,11 @@ let self_heal_run ?(field = `Gf8) () =
   in
   let ck = Checker.create () in
   let r =
-    Vrunner.run ~outstanding:4 ~events ~background:(4000., [ Monitor; Supervise ])
-       ~check:ck ~sc ~clients:4 ~duration:0.4
-      ~workload:(Generator.Random_mix { blocks = 128; write_frac = 0.5 })
-      ()
+    Vrunner.run_profile ~events ~background:(4000., [ Monitor; Supervise ])
+      ~check:ck ~blocks:128 ~sc
+      ~tenants:
+        (Vrunner.clients 4 (Profile.closed ~outstanding:4 ~write_frac:0.5 ()))
+      ~duration:0.4 ()
   in
   let consistent =
     match Checker.check ck with Ok _ -> true | Error _ -> false
@@ -404,9 +409,11 @@ let hedge_run ?(field = `Gf8) ~hedge () =
   in
   let ck = Checker.create () in
   let r =
-    Vrunner.run ~outstanding:4 ~events ~check:ck ~sc ~clients:4 ~duration:0.3
-      ~workload:(Generator.Random_mix { blocks = 64; write_frac = 0.3 })
-      ()
+    Vrunner.run_profile ~events ~check:ck
+      ~blocks:64 ~sc
+      ~tenants:
+        (Vrunner.clients 4 (Profile.closed ~outstanding:4 ~write_frac:0.3 ()))
+      ~duration:0.3 ()
   in
   let consistent =
     match Checker.check ck with
@@ -492,7 +499,7 @@ let test_open_loop_sheds_and_completes () =
     (Printf.sprintf "drops under overload (%d)" tr.Vrunner.tr_drops)
     true (tr.Vrunner.tr_drops > 0);
   Alcotest.(check bool) "still completes work" true
-    (tr.Vrunner.tr_read_reqs + tr.Vrunner.tr_write_reqs > 0);
+    (tr.Vrunner.tr_reqs > 0);
   Alcotest.(check bool) "admission bound respected" true
     (r.Vrunner.pf_max_inflight <= 4)
 
@@ -543,8 +550,8 @@ let test_tenant_qos_isolation () =
     List.find (fun t -> t.Vrunner.tr_name = name) r.Vrunner.pf_tenants
   in
   let m = tr "metered" and g = tr "greedy" in
-  let m_blocks = m.Vrunner.tr_read_blocks + m.Vrunner.tr_write_blocks in
-  let m_rate = float_of_int m_blocks /. r.Vrunner.pf_duration in
+  let m_blocks = m.Vrunner.tr_blocks in
+  let m_rate = float_of_int m_blocks /. r.Vrunner.run.Report.duration in
   Alcotest.(check bool)
     (Printf.sprintf "metered tenant gets its share (%.0f blocks/s)" m_rate)
     true
@@ -554,9 +561,90 @@ let test_tenant_qos_isolation () =
        m_rate)
     true
     (m_rate <= 1.3 *. metered_rate);
-  let g_blocks = g.Vrunner.tr_read_blocks + g.Vrunner.tr_write_blocks in
+  let g_blocks = g.Vrunner.tr_blocks in
   Alcotest.(check bool) "greedy tenant unconstrained by the meter" true
     (g_blocks > 2 * m_blocks)
+
+(* A closed-loop profile run collects its own garbage and takes the
+   background scheduler: a pool node crashes mid-run with no scripted
+   remap, and failover repairs it while the tenant keeps going. *)
+let test_profile_run_gc_and_background () =
+  let placement = placement ~groups:4 ~pool:12 in
+  let sc =
+    Shard_cluster.create ~seed:(0x0e + seed_offset) ~placement (cfg ())
+  in
+  let down_node = (Placement.group_nodes placement 0).(0) in
+  let events =
+    [ (crash_at, fun sc -> Shard_cluster.crash_node sc down_node) ]
+  in
+  let tenants =
+    [
+      {
+        Vrunner.tn_name = "oltp";
+        tn_profile = Option.get (Profile.find "mixed-70-30");
+        tn_qos_blocks_per_sec = None;
+        tn_seed = 0xC1 + seed_offset;
+      };
+    ]
+  in
+  let r =
+    Vrunner.run_profile ~events ~background:(4000., [ Monitor; Supervise ])
+      ~blocks:128 ~sc ~tenants ~duration:0.4 ()
+  in
+  let gc_msgs = Stats.counter (Shard_cluster.stats sc) "msgs.gc_recent" in
+  Alcotest.(check bool)
+    (Printf.sprintf "GC RPCs sent (%.0f)" gc_msgs)
+    true (gc_msgs > 0.);
+  Alcotest.(check bool) "crashed node repaired" true
+    (r.Vrunner.background.repaired_at <> []);
+  Alcotest.(check int) "no failed request" 0 r.Vrunner.pf_stalls
+
+(* An open-loop, multi-block profile run takes the checker: every block
+   of every request is recorded, and the history is regular. *)
+let test_profile_run_check () =
+  let sc =
+    Shard_cluster.create ~seed:(0x51 + seed_offset)
+      ~placement:(placement ~groups:2 ~pool:10) (cfg ())
+  in
+  let oltp = Option.get (Profile.find "db-oltp") in
+  let tenants =
+    [
+      {
+        Vrunner.tn_name = "oltp";
+        tn_profile = oltp;
+        tn_qos_blocks_per_sec = None;
+        tn_seed = 0xCD + seed_offset;
+      };
+    ]
+  in
+  let ck = Checker.create () in
+  let r =
+    Vrunner.run_profile ~warmup:0. ~check:ck ~blocks:96 ~sc ~tenants
+      ~duration:0.2 ()
+  in
+  (match Checker.check ck with
+  | Ok _ -> ()
+  | Error v ->
+    Alcotest.failf "%d history violations, first: %s" (List.length v)
+      (List.hd v));
+  Alcotest.(check int) "no failed request" 0 r.Vrunner.pf_stalls;
+  Alcotest.(check bool) "multi-block requests ran" true
+    (List.exists (fun (size, _) -> size > 1) r.Vrunner.pf_sizes);
+  (* With no warm-up, only the requests still in flight at the end of
+     the window go uncounted: at most [max_inflight] of them, each of at
+     most [max_size] blocks. *)
+  let slack =
+    match oltp.Profile.arrival with
+    | Profile.Open { max_inflight; _ } -> max_inflight * Profile.max_size oltp
+    | Profile.Closed _ -> assert false
+  in
+  let recorded = Checker.reads ck + Checker.writes ck in
+  let counted = (List.hd r.Vrunner.pf_tenants).Vrunner.tr_blocks in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d block ops recorded for %d counted blocks" recorded
+       counted)
+    true
+    (recorded >= counted && recorded <= counted + slack)
 
 (* ------------------------------------------------------------------ *)
 (* Background scrubber: at-rest faults on redundant members (which no
@@ -604,12 +692,11 @@ let test_scrubber_detects_at_rest_faults () =
     done
   in
   let r =
-    Vrunner.run ~outstanding:2
-      ~events:[ (0.05, inject) ]
-      ~background:(4800., [ Scrub 0.01 ])  ~sc ~clients:2
-      ~duration:0.3
-      ~workload:(Generator.Read_only { blocks = 12 })
-      ()
+    Vrunner.run_profile ~events:[ (0.05, inject) ]
+      ~background:(4800., [ Scrub 0.01 ]) ~blocks:12 ~sc
+      ~tenants:
+        (Vrunner.clients 2 (Profile.closed ~outstanding:2 ~write_frac:0. ()))
+      ~duration:0.3 ()
   in
   Alcotest.(check int) "all faults injected" 4 r.Vrunner.corruptions_injected;
   Alcotest.(check int) "all faults detected" 4 r.Vrunner.corruptions_detected;
@@ -644,10 +731,11 @@ let lazy_floor_run ~repair =
   Shard_cluster.schedule_blip sc ~at:0.08 ~node:victim ~down_for:0.06;
   let ck = Checker.create () in
   let r =
-    Vrunner.run ~outstanding:4 ~events:[] ~background:(4000., [ Monitor; Supervise ])
-       ~check:ck ~sc ~clients:4 ~duration:0.3
-      ~workload:(Generator.Random_mix { blocks = 64; write_frac = 0.5 })
-      ()
+    Vrunner.run_profile ~events:[] ~background:(4000., [ Monitor; Supervise ])
+      ~check:ck ~blocks:64 ~sc
+      ~tenants:
+        (Vrunner.clients 4 (Profile.closed ~outstanding:4 ~write_frac:0.5 ()))
+      ~duration:0.3 ()
   in
   let consistent =
     match Checker.check ck with Ok _ -> true | Error _ -> false
@@ -885,6 +973,9 @@ let suite =
       t "open loop sheds and completes" test_open_loop_sheds_and_completes;
       t "profile run deterministic" test_profile_run_deterministic;
       t "tenant qos isolation" test_tenant_qos_isolation;
+      t "profile run collects garbage under background"
+        test_profile_run_gc_and_background;
+      t "profile run takes the checker" test_profile_run_check;
       t "scrubber detects at-rest faults" test_scrubber_detects_at_rest_faults;
       t "lazy floor defers a transient blip" test_lazy_floor_defers_transient_blip;
       t "repair planner avoids draining sources"

@@ -1,16 +1,19 @@
-(* Tests for the workload library: generators, the cluster environment,
-   the runner's accounting, and table rendering. *)
+(* Tests for the workload library: profile request streams, the cluster
+   environment, the runner's accounting, and table rendering. *)
 
 open Ecs_volume
 
+let closed = Profile.closed ~outstanding:1
+let generator ?(seed = 1) ~blocks p = Profile.generator p ~seed ~blocks
+
 let test_generator_random_mix () =
-  let gen = Generator.create ~seed:1 (Generator.Random_mix { blocks = 10; write_frac = 0.3 }) in
+  let gen = generator ~blocks:10 (closed ~write_frac:0.3 ()) in
   let n = 2000 in
   let writes = ref 0 in
   for _ = 1 to n do
-    let { Generator.op; block } = Generator.next gen in
+    let { Profile.op; block; _ } = Profile.next gen in
     Alcotest.(check bool) "block in range" true (block >= 0 && block < 10);
-    if op = Generator.Op_write then incr writes
+    if op = Profile.Op_write then incr writes
   done;
   let frac = float_of_int !writes /. float_of_int n in
   Alcotest.(check bool)
@@ -19,48 +22,44 @@ let test_generator_random_mix () =
     (frac > 0.25 && frac < 0.35)
 
 let test_generator_sequential () =
-  let gen =
-    Generator.create ~seed:1
-      (Generator.Sequential { start = 5; count = 3; op = Generator.Op_write })
-  in
-  let blocks = List.init 7 (fun _ -> (Generator.next gen).Generator.block) in
-  Alcotest.(check (list int)) "cyclic scan" [ 5; 6; 7; 5; 6; 7; 5 ] blocks
+  let gen = generator ~blocks:3 (closed ~sequential:true ~write_frac:1. ()) in
+  let blocks = List.init 7 (fun _ -> (Profile.next gen).Profile.block) in
+  Alcotest.(check (list int)) "wraps from block 0" [ 0; 1; 2; 0; 1; 2; 0 ]
+    blocks
 
 let test_generator_validation () =
-  Alcotest.check_raises "bad frac" (Invalid_argument "Generator: write_frac")
-    (fun () ->
-      ignore
-        (Generator.create ~seed:1
-           (Generator.Random_mix { blocks = 1; write_frac = 1.5 })));
-  Alcotest.check_raises "no blocks" (Invalid_argument "Generator: blocks")
-    (fun () ->
-      ignore (Generator.create ~seed:1 (Generator.Write_only { blocks = 0 })))
+  Alcotest.check_raises "bad frac"
+    (Invalid_argument "Profile.generator: write_frac") (fun () ->
+      ignore (generator ~blocks:1 (closed ~write_frac:1.5 ())));
+  Alcotest.check_raises "no blocks"
+    (Invalid_argument "Profile.generator: blocks") (fun () ->
+      ignore (generator ~blocks:0 (closed ~write_frac:1. ())))
 
 let test_generator_deterministic () =
-  let mk () =
-    Generator.create ~seed:99 (Generator.Random_mix { blocks = 50; write_frac = 0.5 })
-  in
+  let mk () = generator ~seed:99 ~blocks:50 (closed ~write_frac:0.5 ()) in
   let a = mk () and b = mk () in
   for _ = 1 to 100 do
-    Alcotest.(check bool) "same stream" true (Generator.next a = Generator.next b)
+    Alcotest.(check bool) "same stream" true (Profile.next a = Profile.next b)
   done
 
 let test_generator_write_read_only () =
-  let w = Generator.create ~seed:1 (Generator.Write_only { blocks = 4 }) in
-  let r = Generator.create ~seed:1 (Generator.Read_only { blocks = 4 }) in
+  let w = generator ~blocks:4 (closed ~write_frac:1. ()) in
+  let r = generator ~blocks:4 (closed ~write_frac:0. ()) in
   for _ = 1 to 50 do
-    Alcotest.(check bool) "write only" true ((Generator.next w).Generator.op = Generator.Op_write);
-    Alcotest.(check bool) "read only" true ((Generator.next r).Generator.op = Generator.Op_read)
+    Alcotest.(check bool) "write only" true
+      ((Profile.next w).Profile.op = Profile.Op_write);
+    Alcotest.(check bool) "read only" true
+      ((Profile.next r).Profile.op = Profile.Op_read)
   done
 
 let test_generator_zipf_skew () =
   let gen =
-    Generator.create ~seed:3 (Generator.Zipf { blocks = 1000; write_frac = 0.5; theta = 0.8 })
+    generator ~seed:3 ~blocks:1000 (closed ~theta:0.8 ~write_frac:0.5 ())
   in
   let counts = Hashtbl.create 64 in
   let n = 5000 in
   for _ = 1 to n do
-    let { Generator.block; _ } = Generator.next gen in
+    let { Profile.block; _ } = Profile.next gen in
     Alcotest.(check bool) "in range" true (block >= 0 && block < 1000);
     Hashtbl.replace counts block (1 + Option.value (Hashtbl.find_opt counts block) ~default:0)
   done;
@@ -84,25 +83,9 @@ let test_generator_zipf_skew () =
     (float_of_int top10 /. float_of_int n > 0.3)
 
 let test_generator_zipf_validation () =
-  Alcotest.check_raises "theta" (Invalid_argument "Generator: theta") (fun () ->
-      ignore
-        (Generator.create ~seed:1
-           (Generator.Zipf { blocks = 10; write_frac = 0.5; theta = 1.5 })))
-
-let test_generator_trace_replay () =
-  let trace =
-    [|
-      { Generator.op = Generator.Op_write; block = 3 };
-      { Generator.op = Generator.Op_read; block = 1 };
-    |]
-  in
-  let gen = Generator.create ~seed:1 (Generator.Trace trace) in
-  let a = Generator.next gen and b = Generator.next gen and c = Generator.next gen in
-  Alcotest.(check bool) "first" true (a = trace.(0));
-  Alcotest.(check bool) "second" true (b = trace.(1));
-  Alcotest.(check bool) "cycles" true (c = trace.(0));
-  Alcotest.check_raises "empty" (Invalid_argument "Generator: empty trace")
-    (fun () -> ignore (Generator.create ~seed:1 (Generator.Trace [||])))
+  Alcotest.check_raises "theta" (Invalid_argument "Profile.generator: theta")
+    (fun () ->
+      ignore (generator ~blocks:10 (closed ~theta:1.5 ~write_frac:0.5 ())))
 
 (* --- Shard_cluster transport (one group) ------------------------------ *)
 
@@ -227,10 +210,10 @@ let test_cluster_deterministic () =
       Shard_cluster.create ~remap_policy:`Auto ~seed:7 (default_cfg ())
     in
     let r =
-      Vrunner.run ~outstanding:4 ~warmup:0.01 ~sc:cluster ~clients:2
-        ~duration:0.05
-        ~workload:(Generator.Random_mix { blocks = 16; write_frac = 0.5 })
-        ()
+      Vrunner.run_profile ~warmup:0.01 ~blocks:16 ~sc:cluster
+        ~tenants:
+          (Vrunner.clients 2 (Profile.closed ~outstanding:4 ~write_frac:0.5 ()))
+        ~duration:0.05 ()
     in
     (r.Vrunner.run.read_ops, r.Vrunner.run.write_ops, r.Vrunner.run.msgs)
   in
@@ -241,9 +224,10 @@ let test_cluster_deterministic () =
 let test_runner_counts_and_throughput () =
   let cluster = Shard_cluster.create ~remap_policy:`Auto (default_cfg ()) in
   let r =
-    Vrunner.run ~outstanding:4 ~warmup:0.01 ~sc:cluster ~clients:2 ~duration:0.1
-      ~workload:(Generator.Write_only { blocks = 32 })
-      ()
+    Vrunner.run_profile ~warmup:0.01 ~blocks:32 ~sc:cluster
+      ~tenants:
+        (Vrunner.clients 2 (Profile.closed ~outstanding:4 ~write_frac:1. ()))
+      ~duration:0.1 ()
   in
   Alcotest.(check int) "no reads in write-only" 0 r.Vrunner.run.read_ops;
   Alcotest.(check bool) "wrote something" true (r.Vrunner.run.write_ops > 100);
@@ -259,11 +243,12 @@ let test_runner_sampler () =
   let cluster = Shard_cluster.create ~remap_policy:`Auto (default_cfg ()) in
   let samples = ref 0 in
   ignore
-    (Vrunner.run ~outstanding:2 ~warmup:0.0
+    (Vrunner.run_profile ~warmup:0.0
        ~on_sample:(fun _ ~read_mbs:_ ~write_mbs -> if write_mbs >= 0. then incr samples)
-       ~sample_every:0.02 ~sc:cluster ~clients:1 ~duration:0.1
-       ~workload:(Generator.Write_only { blocks = 8 })
-       ());
+       ~sample_every:0.02 ~blocks:8 ~sc:cluster
+       ~tenants:
+         (Vrunner.clients 1 (Profile.closed ~outstanding:2 ~write_frac:1. ()))
+       ~duration:0.1 ());
   Alcotest.(check bool)
     (Printf.sprintf "%d samples ~5" !samples)
     true
@@ -273,11 +258,12 @@ let test_runner_events_fire () =
   let cluster = Shard_cluster.create ~remap_policy:`Auto (default_cfg ()) in
   let fired_at = ref (-1.) in
   ignore
-    (Vrunner.run ~outstanding:2 ~warmup:0.0
+    (Vrunner.run_profile ~warmup:0.0
        ~events:[ (0.05, fun cl -> fired_at := Shard_cluster.now cl) ]
-       ~sc:cluster ~clients:1 ~duration:0.1
-       ~workload:(Generator.Write_only { blocks = 8 })
-       ());
+       ~blocks:8 ~sc:cluster
+       ~tenants:
+         (Vrunner.clients 1 (Profile.closed ~outstanding:2 ~write_frac:1. ()))
+       ~duration:0.1 ());
   Alcotest.(check (float 1e-6)) "event time" 0.05 !fired_at
 
 (* --- Table rendering ------------------------------------------------ *)
@@ -340,7 +326,6 @@ let suite =
       t "generator write/read only" test_generator_write_read_only;
       t "generator zipf skew" test_generator_zipf_skew;
       t "generator zipf validation" test_generator_zipf_validation;
-      t "generator trace replay" test_generator_trace_replay;
       t "cluster env basic call" test_cluster_client_env_calls;
       t "crashed client raises" test_cluster_crashed_client_raises;
       t "auto remap on node death" test_cluster_auto_remap;
