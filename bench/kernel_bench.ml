@@ -1,7 +1,8 @@
 (* Kernel microbenchmark: per-kernel MB/s and allocated-bytes-per-op
    for the four bulk coding operations (paper Fig 8a / Sec 5.1), over
    every kernel implementation — the scalar references and the
-   optimized table kernels for GF(2^8) and GF(2^16).
+   optimized table kernels for GF(2^8) and GF(2^16) — and for the
+   block integrity digest that sits beside them on every node RPC.
 
    This seeds the perf trajectory for the data plane: CI uploads the
    JSON and asserts the table kernels beat their scalar references
@@ -24,41 +25,48 @@ type cell = {
   alloc_bytes_per_op : int;
 }
 
+(* Time [iters] calls of [f] after one warm-up call (which builds any
+   per-alpha tables outside the window). *)
+let measure ~kernel ~h ~iters (op, f) =
+  f ();
+  let a0 = Stdlib.Gc.allocated_bytes () in
+  let t0 = Unix.gettimeofday () in
+  for _ = 1 to iters do
+    f ()
+  done;
+  let t1 = Unix.gettimeofday () in
+  let a1 = Stdlib.Gc.allocated_bytes () in
+  let bytes = float_of_int (block_size * iters) in
+  let mb_per_s = bytes /. (1024. *. 1024.) /. (t1 -. t0) in
+  let alloc_bytes_per_op = int_of_float ((a1 -. a0) /. float_of_int iters) in
+  { kernel; h; op; iters; mb_per_s; alloc_bytes_per_op }
+
+let random_block st =
+  Bytes.init block_size (fun _ -> Char.chr (Random.State.int st 256))
+
 let bench_kernel (module K : Kernel.S) =
   let st = Random.State.make [| 0xBE2C; K.h |] in
-  let mk () =
-    Bytes.init block_size (fun _ -> Char.chr (Random.State.int st 256))
-  in
-  let dst = mk () and src = mk () and v = mk () and w = mk () in
+  let dst = random_block st and src = random_block st in
+  let v = random_block st and w = random_block st in
   (* A nontrivial alpha exercising both split-table halves at h = 16. *)
   let alpha = if K.h = 8 then 0x53 else 0x1c53 in
-  let iters = iters_for K.name in
-  let ops =
+  List.map
+    (measure ~kernel:K.name ~h:K.h ~iters:(iters_for K.name))
     [
       ("xor", fun () -> K.xor_into ~dst ~src);
       ("scale", fun () -> K.scale_into alpha ~dst ~src);
       ("scale_xor", fun () -> K.scale_xor_into alpha ~dst ~src);
       ("delta", fun () -> K.delta_into alpha ~dst ~v ~w);
     ]
-  in
-  List.map
-    (fun (op, f) ->
-      f ();
-      (* warm-up: build the per-alpha tables outside the window *)
-      let a0 = Stdlib.Gc.allocated_bytes () in
-      let t0 = Unix.gettimeofday () in
-      for _ = 1 to iters do
-        f ()
-      done;
-      let t1 = Unix.gettimeofday () in
-      let a1 = Stdlib.Gc.allocated_bytes () in
-      let bytes = float_of_int (block_size * iters) in
-      let mb_per_s = bytes /. (1024. *. 1024.) /. (t1 -. t0) in
-      let alloc_bytes_per_op =
-        int_of_float ((a1 -. a0) /. float_of_int iters)
-      in
-      { kernel = K.name; h = K.h; op; iters; mb_per_s; alloc_bytes_per_op })
-    ops
+
+(* The integrity digest every node pays on each block it serves or
+   seals; not a field operation, so [h] is 0.  The one allocation per
+   op is the boxed int64 result. *)
+let bench_digest () =
+  let b = random_block (Random.State.make [| 0xD16E |]) in
+  measure ~kernel:"checksum" ~h:0 ~iters:2048
+    ( "digest",
+      fun () -> ignore (Sys.opaque_identity (Checksum.digest_bytes b)) )
 
 let kernels : (module Kernel.S) list =
   [
@@ -69,7 +77,7 @@ let kernels : (module Kernel.S) list =
   ]
 
 let run ?json () =
-  let cells = List.concat_map bench_kernel kernels in
+  let cells = List.concat_map bench_kernel kernels @ [ bench_digest () ] in
   Printf.printf "kernel throughput, %d KiB blocks (MB/s; alloc B/op)\n"
     (block_size / 1024);
   Printf.printf "%-10s %4s %-10s %10s %10s\n" "kernel" "h" "op" "MB/s" "B/op";

@@ -57,8 +57,10 @@ type integrity = {
 (* Verified reads are opt-in: the fast path gains a client-side digest
    over every block read, which real deployments enable per volume.
    [cross_check] governs the degraded-path dual-subset decode check;
-   [digest_per_byte] is the client-side checksum compute cost (FNV-ish
-   byte loop, same order as the delta kernel). *)
+   [digest_per_byte] is the client-side checksum compute cost the
+   simulator charges: a modelled price of 1 ns/byte, not this build's
+   digest speed (the word-at-a-time [Checksum.digest_bytes] runs several
+   times faster), kept so simulated figures do not move with the host. *)
 let default_integrity =
   { verified_reads = false; cross_check = true; digest_per_byte = 1.0e-9 }
 

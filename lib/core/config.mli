@@ -54,7 +54,7 @@ type integrity = {
       (** on verified degraded decodes, decode a second, different
           k-subset and compare before returning *)
   digest_per_byte : float;
-      (** client-side checksum compute cost, seconds per byte *)
+      (** modelled client-side checksum compute cost, seconds per byte *)
 }
 
 val default_integrity : integrity

@@ -21,15 +21,29 @@
 type status = Valid | Digest_mismatch | Stale_epoch | Bad_seal
 
 type record = {
-  digest : int64;  (** FNV-1a over the block bytes *)
+  digest : int64;  (** {!digest_bytes} of the block bytes *)
   epoch : int;  (** epoch the block was sealed under *)
   writer : int64;  (** opaque tag of the last mutating op *)
   seal : int64;  (** digest of the record's own fields *)
 }
 
 val digest_bytes : bytes -> int64
-(** 64-bit FNV-1a of the block contents. Not cryptographic: the threat
-    model is bit rot and stale state, not adversarial forgery. *)
+(** Word-at-a-time 64-bit digest of the block contents: four lanes, each
+    fed one little-endian 8-byte word per 32-byte step by a
+    multiply-xorshift, combined with the length and finished with a
+    multiply-xorshift; the last [length mod 32] bytes go through FNV-1a.
+    The value is the same on every host.  Not cryptographic: the threat
+    model is bit rot and stale state, not adversarial forgery.  It
+    guarantees three things the record relies on:
+    - {b bytes only}: the value depends on the length and contents of
+      the block alone (not on the buffer, its alignment, epoch or
+      writer), so the commutative-add algebra holds;
+    - {b certain detection of one-word changes}: each lane step is a
+      bijection of the lane state for a fixed word, so any change
+      confined to one aligned 8-byte word, or to one tail byte, always
+      changes the digest (every single-byte flip included);
+    - {b no allocation per word}: a call allocates only its boxed
+      result. *)
 
 val pack_writer : seq:int -> blk:int -> client:int -> int64
 (** Deterministically folds a transaction id into an opaque writer tag

@@ -63,6 +63,71 @@ let test_digest_commutes_with_adds () =
   Alcotest.(check int64) "digest matches bytes" (Checksum.digest_bytes b1) d1
 
 (* ------------------------------------------------------------------ *)
+(* Block digest properties (Checksum.digest_bytes).                    *)
+
+let patterned len =
+  Bytes.init len (fun i -> Char.chr ((i * 131 + 7) land 0xff))
+
+(* Every one of the 255 other values at byte [off] changes the digest. *)
+let check_every_byte_change b ~from =
+  let d = Checksum.digest_bytes b in
+  for off = from to Bytes.length b - 1 do
+    let orig = Bytes.get b off in
+    for delta = 1 to 255 do
+      Bytes.set b off (Char.chr (Char.code orig lxor delta));
+      if Checksum.digest_bytes b = d then
+        Alcotest.failf "len %d: byte %d xor %d leaves the digest unchanged"
+          (Bytes.length b) off delta
+    done;
+    Bytes.set b off orig
+  done
+
+let test_digest_catches_every_byte_change () =
+  check_every_byte_change (patterned 4096) ~from:0;
+  (* 65 549 = 2048 words of 32 bytes + a 13-byte tail: the last 40
+     bytes span the final lane step and the byte-wise tail. *)
+  check_every_byte_change (patterned 65549) ~from:(65549 - 40)
+
+let test_digest_lengths () =
+  let zero =
+    List.init 71 (fun len -> Checksum.digest_bytes (Bytes.make len '\000'))
+  in
+  Alcotest.(check int) "zero blocks of lengths 0-70 all differ" 71
+    (List.length (List.sort_uniq compare zero));
+  for len = 1 to 70 do
+    check_every_byte_change (patterned len) ~from:0
+  done
+
+let test_digest_bytes_only () =
+  let b = patterned 1000 in
+  (* The same contents at an odd offset of a larger buffer. *)
+  let wide = Bytes.make 1003 'x' in
+  Bytes.blit b 0 wide 3 1000;
+  Alcotest.(check int64) "copy" (Checksum.digest_bytes b)
+    (Checksum.digest_bytes (Bytes.copy b));
+  Alcotest.(check int64) "unaligned source" (Checksum.digest_bytes b)
+    (Checksum.digest_bytes (Bytes.sub wide 3 1000))
+
+(* Pinned so that a change to the function is a deliberate one. *)
+let test_digest_known_answer () =
+  Alcotest.(check int64) "100 patterned bytes" 0x3d018692b21491dbL
+    (Checksum.digest_bytes (patterned 100))
+
+let test_digest_no_alloc_per_word () =
+  let b = patterned 65536 in
+  let words calls =
+    let w0 = Stdlib.Gc.minor_words () in
+    for _ = 1 to calls do
+      ignore (Sys.opaque_identity (Checksum.digest_bytes b))
+    done;
+    Stdlib.Gc.minor_words () -. w0
+  in
+  (* Subtract what reading the counter itself allocates. *)
+  let per_call = (words 64 -. words 0) /. 64. in
+  if per_call > 3. then
+    Alcotest.failf "%.2f minor words per 64 KiB digest (want <= 3)" per_call
+
+(* ------------------------------------------------------------------ *)
 (* Defense layer 1: node-side self-check on plain reads.               *)
 
 let test_plain_read_heals_corruption () =
@@ -228,6 +293,12 @@ let suite =
     [
       t "checksum record round-trip" test_checksum_roundtrip;
       t "digest commutes with add order" test_digest_commutes_with_adds;
+      t "digest catches every single-byte change"
+        test_digest_catches_every_byte_change;
+      t "digest of lengths 0-70" test_digest_lengths;
+      t "digest depends on bytes only" test_digest_bytes_only;
+      t "digest known answer" test_digest_known_answer;
+      t "digest allocates only its result" test_digest_no_alloc_per_word;
       t "plain read heals bit rot (node self-check)"
         test_plain_read_heals_corruption;
       t "verified read catches bit rot end-to-end"
