@@ -25,6 +25,17 @@ let time_ns ~name f =
       | exception _ -> acc)
     analysis nan
 
+(* Bytes allocated by this domain so far: (minor + major - promoted)
+   words times the word size.  The minor count comes from
+   [Gc.minor_words], not [Gc.counters]: on OCaml 5.1 the latter counts
+   the current minor heap's allocation in bytes / 8 (so
+   [Gc.allocated_bytes] reads words over any window without a minor
+   collection). *)
+let allocated_bytes () =
+  let _, promoted, major = Stdlib.Gc.counters () in
+  (Stdlib.Gc.minor_words () +. major -. promoted)
+  *. float_of_int (Sys.word_size / 8)
+
 let fmt_us ns = Printf.sprintf "%.2f us" (ns /. 1000.)
 let fmt_ns ns =
   if ns >= 1e6 then Printf.sprintf "%.2f ms" (ns /. 1e6)

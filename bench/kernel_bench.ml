@@ -7,7 +7,8 @@
    This seeds the perf trajectory for the data plane: CI uploads the
    JSON and asserts the table kernels beat their scalar references
    (and that the optimized kernels are allocation-free in steady
-   state).  MB/s counts source bytes processed. *)
+   state).  MB/s counts source bytes processed; the two [rs] rows
+   time rebuilding a lost stripe member and count its bytes. *)
 
 let block_size = 65536
 
@@ -29,13 +30,13 @@ type cell = {
    per-alpha tables outside the window). *)
 let measure ~kernel ~h ~iters (op, f) =
   f ();
-  let a0 = Stdlib.Gc.allocated_bytes () in
+  let a0 = Bench_util.allocated_bytes () in
   let t0 = Unix.gettimeofday () in
   for _ = 1 to iters do
     f ()
   done;
   let t1 = Unix.gettimeofday () in
-  let a1 = Stdlib.Gc.allocated_bytes () in
+  let a1 = Bench_util.allocated_bytes () in
   let bytes = float_of_int (block_size * iters) in
   let mb_per_s = bytes /. (1024. *. 1024.) /. (t1 -. t0) in
   let alloc_bytes_per_op = int_of_float ((a1 -. a0) /. float_of_int iters) in
@@ -68,6 +69,27 @@ let bench_digest () =
     ( "digest",
       fun () -> ignore (Sys.opaque_identity (Checksum.digest_bytes b)) )
 
+(* Rebuilding one lost member of a k = 4, n = 6 stripe from the other
+   five, as a rebuild does: [reconstruct_stripe] (the whole stripe,
+   sources copied) beside [repair] of the lost block alone.  MB/s
+   counts the lost member's bytes, so the two rows compare directly. *)
+let bench_rebuild () =
+  let code = Rs_code.create ~k:4 ~n:6 () in
+  let st = Random.State.make [| 0x4E6 |] in
+  let stripe = Rs_code.stripe code (Array.init 4 (fun _ -> random_block st)) in
+  let avail = List.init 5 (fun p -> (p + 1, stripe.(p + 1))) in
+  let wanted = [ 0 ] in
+  if not (Bytes.equal (Rs_code.repair code avail ~wanted).(0) stripe.(0))
+  then failwith "kernel bench: repair disagrees with the encoded stripe";
+  let keep x = ignore (Sys.opaque_identity x) in
+  List.map
+    (measure ~kernel:"rs" ~h:8 ~iters:256)
+    [
+      ( "reconstruct_stripe",
+        fun () -> keep (Rs_code.reconstruct_stripe code avail) );
+      ("repair", fun () -> keep (Rs_code.repair code avail ~wanted));
+    ]
+
 let kernels : (module Kernel.S) list =
   [
     (module Kernel.Scalar8);
@@ -77,13 +99,15 @@ let kernels : (module Kernel.S) list =
   ]
 
 let run ?json () =
-  let cells = List.concat_map bench_kernel kernels @ [ bench_digest () ] in
+  let cells =
+    List.concat_map bench_kernel kernels @ (bench_digest () :: bench_rebuild ())
+  in
   Printf.printf "kernel throughput, %d KiB blocks (MB/s; alloc B/op)\n"
     (block_size / 1024);
-  Printf.printf "%-10s %4s %-10s %10s %10s\n" "kernel" "h" "op" "MB/s" "B/op";
+  Printf.printf "%-10s %4s %-18s %10s %10s\n" "kernel" "h" "op" "MB/s" "B/op";
   List.iter
     (fun c ->
-      Printf.printf "%-10s %4d %-10s %10.1f %10d\n" c.kernel c.h c.op
+      Printf.printf "%-10s %4d %-18s %10.1f %10d\n" c.kernel c.h c.op
         c.mb_per_s c.alloc_bytes_per_op)
     cells;
   (match json with

@@ -4,7 +4,7 @@
    an optional machine-readable JSON summary for the CI artifact. *)
 
 (* Allocation profile of the steady-state data plane: a separate
-   no-fault cluster (so op counts and hence Stdlib.Gc.allocated_bytes deltas
+   no-fault cluster (so op counts and hence allocated-byte deltas
    are deterministic and the CI byte-identical-rerun check still holds),
    with manual remap so a crashed data node stays down for the degraded
    reads.  Reports GC bytes per op for write / read / degraded read plus
@@ -47,16 +47,16 @@ let alloc_profile () =
       ignore (Client.read client ~slot:0 ~i:0);
       let per_op a b = int_of_float ((b -. a) /. float_of_int n_ops) in
       let s0 = Buf_pool.stats () in
-      let a0 = Stdlib.Gc.allocated_bytes () in
+      let a0 = Bench_util.allocated_bytes () in
       for x = 0 to n_ops - 1 do
         write x
       done;
-      let a1 = Stdlib.Gc.allocated_bytes () in
+      let a1 = Bench_util.allocated_bytes () in
       let s1 = Buf_pool.stats () in
       for _ = 1 to n_ops do
         ignore (Client.read client ~slot:0 ~i:0)
       done;
-      let a2 = Stdlib.Gc.allocated_bytes () in
+      let a2 = Bench_util.allocated_bytes () in
       (* Crash the node holding data position 0 of slot 0; manual remap
          keeps it down, so reads must decode from survivors. *)
       let victim =
@@ -65,13 +65,13 @@ let alloc_profile () =
       Shard_cluster.crash_node cluster victim;
       let ok = ref true in
       ignore (Client.read_degraded client ~slot:0 ~i:0);
-      let a3 = Stdlib.Gc.allocated_bytes () in
+      let a3 = Bench_util.allocated_bytes () in
       for _ = 1 to n_ops do
         match Client.read_degraded client ~slot:0 ~i:0 with
         | Some _ -> ()
         | None -> ok := false
       done;
-      let a4 = Stdlib.Gc.allocated_bytes () in
+      let a4 = Bench_util.allocated_bytes () in
       result :=
         Some
           {

@@ -139,8 +139,7 @@ let degraded_with_ctx t ctx ~slot ~i =
         Session.compute s
           (float_of_int k
           *. Session.block_cost s cfg.Config.costs.Config.decode_per_byte);
-        let data = Rs_code.decode t.code avail in
-        Some data.(i)
+        Some (Rs_code.repair t.code avail ~wanted:[ i ]).(0)
       end
 
 (* Hedged read: race the primary loop against one delayed degraded
@@ -341,8 +340,7 @@ let degraded_verified t ctx ~slot ~i ~caught =
         Session.compute s
           (float_of_int k
           *. Session.block_cost s cfg.Config.costs.Config.decode_per_byte);
-        let data = Rs_code.decode t.code avail in
-        Some data.(i)
+        Some (Rs_code.repair t.code avail ~wanted:[ i ]).(0)
       end
       else begin
         match identify_culprits t avail with

@@ -584,8 +584,22 @@ let recover_full t ctx ~slot =
       (float_of_int k
       *. (Session.block_cost s cfg.Config.costs.Config.decode_per_byte
          +. Session.block_cost s cfg.Config.costs.Config.encode_per_byte));
-    let stripe = Rs_code.reconstruct_stripe t.code avail in
+    (* Each source ships its own bytes; every other position — the lost
+       member and any consistent member the decode did not read — is
+       recomputed from the sources.  A consistent non-source can hold
+       bytes off the codeword (a same-record rollback), and rewriting
+       it from the sources is what corrects it.  Nodes copy a
+       [Reconstruct] block on receipt, so the source buffers are
+       shipped as they are. *)
     let all_positions = List.init n Fun.id in
+    let sources = List.filteri (fun i _ -> i < k) avail in
+    let wanted =
+      List.filter (fun pos -> not (List.mem_assoc pos sources)) all_positions
+    in
+    let stripe = Array.make n Bytes.empty in
+    List.iter (fun (pos, b) -> stripe.(pos) <- b) sources;
+    let rebuilt = Rs_code.repair t.code sources ~wanted in
+    List.iteri (fun i pos -> stripe.(pos) <- rebuilt.(i)) wanted;
     let epochs = Array.make n 0 in
     (* Rewrite thunks may run on different domains: per-position array
        slots only; the shared counter is summed after the barrier. *)

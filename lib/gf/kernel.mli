@@ -45,8 +45,10 @@ module Scalar16 : S
 (** [Scalar (Field.Gf16)]. *)
 
 module Table8 : S
-(** GF(2^8): word-sliced XOR plus lazily built per-alpha 256-entry
-    product tables — the paper's hand-optimized C kernels (Sec 5.1). *)
+(** GF(2^8): per-alpha 256-entry product tables, word-sliced — each
+    64-bit word takes eight table lookups and one write, with a byte
+    loop only for the [len mod 8] tail — the paper's hand-optimized C
+    kernels (Sec 5.1). *)
 
 module Split16 : S
 (** GF(2^16): low/high-byte split-table multiply,

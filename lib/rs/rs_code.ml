@@ -75,7 +75,7 @@ module Make (F : Field.S) (K : Kernel.S) = struct
     let redundant = encode t data in
     Array.append (Array.map Bytes.copy data) redundant
 
-  let distinct_prefix avail kneed =
+  let distinct_prefix ~who avail kneed =
     (* First [kneed] distinct-index pairs from [avail]. *)
     let seen = Hashtbl.create 16 in
     let rec go acc count = function
@@ -90,33 +90,65 @@ module Make (F : Field.S) (K : Kernel.S) = struct
     in
     let chosen = go [] 0 avail in
     if List.length chosen < kneed then
-      invalid_arg "Rs_code.decode: fewer than k distinct blocks";
+      invalid_arg (who ^ ": fewer than k distinct blocks");
     chosen
 
-  let decode t avail =
-    let chosen = distinct_prefix avail t.k in
+  (* The decode sources — the first k distinct available pairs — and
+     the inverse of their k x k generator submatrix. *)
+  let sources ~who t avail =
+    let chosen = distinct_prefix ~who avail t.k in
+    let len = Bytes.length (snd (List.hd chosen)) in
     List.iter
-      (fun (idx, _) ->
-        if idx < 0 || idx >= t.n then invalid_arg "Rs_code.decode: bad index")
+      (fun (idx, blk) ->
+        if idx < 0 || idx >= t.n then invalid_arg (who ^ ": bad index");
+        if Bytes.length blk <> len then
+          invalid_arg (who ^ ": blocks of different lengths"))
       chosen;
-    let rows = List.map fst chosen in
-    let blocks = List.map snd chosen in
-    let sub = M.submatrix_rows t.gen rows in
-    let dec = M.invert sub in
-    let len = Bytes.length (List.hd blocks) in
-    let block_arr = Array.of_list blocks in
-    Array.init t.k (fun i ->
-        let out = Bytes.make len '\000' in
-        Array.iteri
-          (fun c src ->
-            let a = M.get dec i c in
-            if a <> 0 then K.scale_xor_into a ~dst:out ~src)
-          block_arr;
-        out)
+    let inv = M.invert (M.submatrix_rows t.gen (List.map fst chosen)) in
+    (Array.of_list chosen, inv)
 
-  let reconstruct_stripe t avail =
-    let data = decode t avail in
-    stripe t data
+  (* Block [j] from the sources alone: its coefficient row is generator
+     row [j] times the inverse, and each source costs at most one pass
+     — a scale (or copy) into the fresh buffer for the first, a
+     scale-XOR (or XOR) for each later one with a nonzero
+     coefficient. *)
+  let compute t (src, inv) j =
+    let coeffs = M.row (M.mul (M.submatrix_rows t.gen [ j ]) inv) 0 in
+    let len = Bytes.length (snd src.(0)) in
+    let out = Bytes.create len in
+    Array.iteri
+      (fun c (_, blk) ->
+        let a = coeffs.(c) in
+        if c = 0 then
+          if a = F.one then Bytes.blit blk 0 out 0 len
+          else K.scale_into a ~dst:out ~src:blk
+        else if a = F.one then K.xor_into ~dst:out ~src:blk
+        else if a <> F.zero then K.scale_xor_into a ~dst:out ~src:blk)
+      src;
+    out
+
+  let repair t avail ~wanted =
+    let who = "Rs_code.repair" in
+    let s = sources ~who t avail in
+    List.iter
+      (fun j -> if j < 0 || j >= t.n then invalid_arg (who ^ ": bad index"))
+      wanted;
+    Array.of_list (List.map (compute t s) wanted)
+
+  (* [positions] of the codeword through the sources: a source position
+     is a copy of its own bytes (which is what decoding it would give),
+     every other one is computed. *)
+  let restore t avail positions =
+    let ((src, _) as s) = sources ~who:"Rs_code.decode" t avail in
+    Array.map
+      (fun j ->
+        match Array.find_opt (fun (idx, _) -> idx = j) src with
+        | Some (_, blk) -> Bytes.copy blk
+        | None -> compute t s j)
+      positions
+
+  let decode t avail = restore t avail (Array.init t.k Fun.id)
+  let reconstruct_stripe t avail = restore t avail (Array.init t.n Fun.id)
 
   let update_delta t ~j ~i ~v ~w =
     let d = Bytes.create (Bytes.length v) in
@@ -180,6 +212,11 @@ let alpha t ~j ~i =
 let encode = function G8 c -> Rs8.encode c | G16 c -> Rs16.encode c
 let stripe = function G8 c -> Rs8.stripe c | G16 c -> Rs16.stripe c
 let decode = function G8 c -> Rs8.decode c | G16 c -> Rs16.decode c
+
+let repair t avail ~wanted =
+  match t with
+  | G8 c -> Rs8.repair c avail ~wanted
+  | G16 c -> Rs16.repair c avail ~wanted
 
 let reconstruct_stripe = function
   | G8 c -> Rs8.reconstruct_stripe c

@@ -61,14 +61,29 @@ val stripe : t -> bytes array -> bytes array
 (** [stripe t data] is the full stripe: the [k] data blocks (copied)
     followed by the [n - k] redundant blocks. *)
 
+val repair : t -> (int * bytes) list -> wanted:int list -> bytes array
+(** [repair t avail ~wanted] computes the stripe blocks at the
+    [wanted] positions, in order, from available stripe blocks given as
+    [(stripe_index, contents)] pairs.  The first [k] distinct indices
+    of [avail] are the sources: their generator submatrix is inverted
+    once, and each wanted block costs at most [k] passes over the
+    sources into a fresh buffer.  A wanted position is always computed,
+    even when it is also available, so a wanted block equals the
+    codeword through the sources whatever bytes [avail] holds for it.
+    @raise Invalid_argument if fewer than [k] distinct indices are
+    given, a source or wanted index is outside [0, n), or the sources
+    differ in length. *)
+
 val decode : t -> (int * bytes) list -> bytes array
 (** [decode t avail] reconstructs the [k] data blocks from any [>= k]
-    available stripe blocks given as [(stripe_index, contents)] pairs.
+    available stripe blocks: a data block among the sources (see
+    {!repair}) is copied, the others are repaired.
     @raise Invalid_argument if fewer than [k] distinct indices are given. *)
 
 val reconstruct_stripe : t -> (int * bytes) list -> bytes array
 (** [reconstruct_stripe t avail] rebuilds the complete stripe (all [n]
-    blocks) from any [>= k] available blocks. *)
+    blocks) from any [>= k] available blocks: the sources are copied,
+    the other [n - k] blocks are repaired. *)
 
 val update_delta : t -> j:int -> i:int -> v:bytes -> w:bytes -> bytes
 (** [update_delta t ~j ~i ~v ~w] is [alpha(j,i) * (v - w)]: the payload a
@@ -116,6 +131,7 @@ module Make (_ : Field.S) (_ : Kernel.S) : sig
   val alpha : t -> j:int -> i:int -> int
   val encode : t -> bytes array -> bytes array
   val stripe : t -> bytes array -> bytes array
+  val repair : t -> (int * bytes) list -> wanted:int list -> bytes array
   val decode : t -> (int * bytes) list -> bytes array
   val reconstruct_stripe : t -> (int * bytes) list -> bytes array
   val update_delta : t -> j:int -> i:int -> v:bytes -> w:bytes -> bytes

@@ -86,6 +86,58 @@ let test_delta_aliasing () =
       Alcotest.(check bytes) (K.name ^ " delta dst==v") expect dst)
     (List.map snd pairs)
 
+(* In-place scale (dst == src), as delta_into uses it, across every
+   word-tail length and a 64 KiB + 13 block. *)
+let test_table8_scale_aliasing () =
+  let rng = Random.State.make [| 0x5A |] in
+  List.iter
+    (fun len ->
+      List.iter
+        (fun alpha ->
+          let src = random_block rng len in
+          let expect = Bytes.create len in
+          Kernel.Scalar8.scale_into alpha ~dst:expect ~src;
+          let dst = Bytes.copy src in
+          Kernel.Table8.scale_into alpha ~dst ~src:dst;
+          check_agree
+            (Printf.sprintf "table8 scale dst==src len=%d alpha=%d" len alpha)
+            expect dst)
+        [ 0; 1; 2; 0x53; 0xff ])
+    (List.init 71 Fun.id @ [ 65549 ])
+
+(* The word-sliced GF(2^8) kernels keep every int64 unboxed: no minor
+   allocation per call on a 64 KiB block. *)
+let test_table8_no_alloc () =
+  let rng = Random.State.make [| 0xA0 |] in
+  let len = 65536 in
+  let dst = random_block rng len and src = random_block rng len in
+  let v = random_block rng len and w = random_block rng len in
+  let words f =
+    let w0 = Stdlib.Gc.minor_words () in
+    f ();
+    Stdlib.Gc.minor_words () -. w0
+  in
+  List.iter
+    (fun (op, f) ->
+      f ();
+      (* Subtract what reading the counter itself allocates. *)
+      let per_call =
+        (words (fun () ->
+             for _ = 1 to 16 do
+               f ()
+             done)
+        -. words ignore)
+        /. 16.
+      in
+      if per_call <> 0. then
+        Alcotest.failf "table8 %s: %.2f minor words per 64 KiB call" op
+          per_call)
+    [
+      ("scale_into", fun () -> Kernel.Table8.scale_into 0x53 ~dst ~src);
+      ("scale_xor_into", fun () -> Kernel.Table8.scale_xor_into 0x53 ~dst ~src);
+      ("delta_into", fun () -> Kernel.Table8.delta_into 0x53 ~dst ~v ~w);
+    ]
+
 let test_length_guards () =
   Alcotest.check_raises "mismatched lengths"
     (Invalid_argument "Block_ops: blocks of different lengths") (fun () ->
@@ -199,6 +251,8 @@ let suite =
       pairs
     @ [
         t "delta_into aliasing (dst == v)" test_delta_aliasing;
+        t "table8 scale_into aliasing (dst == src)" test_table8_scale_aliasing;
+        t "table8 kernels allocate nothing" test_table8_no_alloc;
         t "length guards" test_length_guards;
         t "for_h dispatch" test_for_h;
         t "pool get/put roundtrip" test_pool_roundtrip;

@@ -501,6 +501,52 @@ let test_give_up_releases_locks () =
   in
   if gave_up then check_unlocked cluster "after giving up"
 
+(* Phase 3 ships each decode source its own bytes and recomputes every
+   other position.  A consistent member that is not a source can hold
+   bytes off the codeword — here a same-record rollback of redundant
+   member 4, whose recentlist still matches its peers — and the rebuild
+   must rewrite it with the re-encoded block, not echo its bytes back. *)
+let test_rebuild_rewrites_consistent_non_source () =
+  let cfg = Config.make ~t_p:1 ~block_size:64 ~k:3 ~n:5 () in
+  let env = Direct_env.create ~rotate:false cfg in
+  let w = Direct_env.make_client env ~id:0 in
+  let blk c = Bytes.make cfg.Config.block_size c in
+  let data = [| blk 'a'; blk 'b'; blk 'c' |] in
+  Array.iteri (fun i v -> Client.write w ~slot:0 ~i v) data;
+  let store p = Direct_env.node_store env p in
+  let snap =
+    match Storage_node.snapshot_slot (store 4) ~slot:0 with
+    | Some sn -> sn
+    | None -> Alcotest.fail "member 4 holds no committed block"
+  in
+  data.(0) <- blk 'A';
+  Client.write w ~slot:0 ~i:0 data.(0);
+  Alcotest.(check bool)
+    "rolled back" true
+    (Storage_node.rollback_slot (store 4) ~slot:0 snap);
+  let expect = Rs_code.stripe (Rs_code.create ~k:3 ~n:5 ()) data in
+  Alcotest.(check bool)
+    "member 4 off the codeword" false
+    (Bytes.equal expect.(4) (Storage_node.peek_block (store 4) ~slot:0));
+  (* Lose data member 1 too: the sources are then 0, 2 and 3 (lowest
+     positions first), and the rebuild writes members 1 and 4. *)
+  Direct_env.remap_node env 1;
+  let fixer = Direct_env.make_client env ~id:9 in
+  Client.recover_slot ~delta:false fixer ~slot:0;
+  for pos = 0 to 4 do
+    Alcotest.(check bytes)
+      (Printf.sprintf "member %d re-encoded" pos)
+      expect.(pos)
+      (Storage_node.peek_block (store pos) ~slot:0);
+    Alcotest.(check bool)
+      (Printf.sprintf "member %d digest valid" pos)
+      true
+      (Storage_node.slot_status (store pos) ~slot:0 = Checksum.Valid)
+  done;
+  Alcotest.(check bool)
+    "stripe healthy" true
+    (Client.verify_slot fixer ~slot:0).Client.sh_healthy
+
 let suite =
   let t name f = Alcotest.test_case name `Quick f in
   ( "recovery",
@@ -523,4 +569,6 @@ let suite =
       t "two partial writes from one crashed client"
         test_two_partial_writes_one_crash;
       t "recovery that gives up releases its locks" test_give_up_releases_locks;
+      t "rebuild rewrites a consistent non-source member"
+        test_rebuild_rewrites_consistent_non_source;
     ] )

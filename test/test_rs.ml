@@ -150,6 +150,110 @@ let test_reconstruct_stripe () =
     Alcotest.(check bytes) (Printf.sprintf "block %d" i) stripe.(i) rebuilt.(i)
   done
 
+(* --- repair: exhaustive over available and wanted sets ------------- *)
+
+(* Every subset of [0, n), each in increasing order. *)
+let all_subsets n =
+  List.init (1 lsl n) (fun m ->
+      List.filter (fun i -> m land (1 lsl i) <> 0) (List.init n Fun.id))
+
+(* One available set of [code]'s stripe.  The sources are the first k
+   positions of the set; the available blocks after them are garbage,
+   so a wanted position among them is right only because repair
+   computes it rather than echoing its bytes. *)
+let check_avail ~name ~block ~subsets code data stripe avail_set =
+  let k = Rs_code.k code in
+  let tag = String.concat "," (List.map string_of_int avail_set) in
+  let avail =
+    List.mapi (fun r p -> (p, if r < k then stripe.(p) else block ())) avail_set
+  in
+  List.iter
+    (fun wanted ->
+      let got = Rs_code.repair code avail ~wanted in
+      List.iteri
+        (fun r j ->
+          if not (Bytes.equal got.(r) stripe.(j)) then
+            Alcotest.failf "%s avail {%s}: repair of %d" name tag j)
+        wanted)
+    subsets;
+  let decoded = Rs_code.decode code avail in
+  if not (Array.for_all2 Bytes.equal data decoded) then
+    Alcotest.failf "%s avail {%s}: decode" name tag;
+  let rebuilt = Rs_code.reconstruct_stripe code avail in
+  if not (Array.for_all2 Bytes.equal stripe rebuilt) then
+    Alcotest.failf "%s avail {%s}: reconstruct_stripe" name tag
+
+(* Off-codeword sources: decode must return the unique data whose
+   stripe passes through them (what inverting and multiplying gave
+   before repair existed), and reconstruct_stripe that stripe, with
+   the sources copied. *)
+let check_off_codeword ~name ~block code avail_set =
+  let tag = String.concat "," (List.map string_of_int avail_set) in
+  let off = List.map (fun p -> (p, block ())) avail_set in
+  let through = Rs_code.stripe code (Rs_code.decode code off) in
+  let rebuilt = Rs_code.reconstruct_stripe code off in
+  if not (Array.for_all2 Bytes.equal through rebuilt) then
+    Alcotest.failf "%s off-codeword {%s}: wrappers differ" name tag;
+  List.iter
+    (fun (p, b) ->
+      if not (Bytes.equal b rebuilt.(p)) then
+        Alcotest.failf "%s off-codeword {%s}: source %d" name tag p)
+    off
+
+let test_repair_exhaustive () =
+  let rng = Random.State.make [| 0x5EED |] in
+  (* 38 bytes: even for GF(2^16), with a 6-byte word tail. *)
+  let block () = Bytes.init 38 (fun _ -> Char.chr (Random.State.int rng 256)) in
+  List.iter
+    (fun (field, construction, (k, n)) ->
+      let code = Rs_code.create ~construction ~field ~k ~n () in
+      let name =
+        Printf.sprintf "h=%d %s k=%d n=%d" (Rs_code.h code)
+          (match construction with
+          | `Vandermonde -> "vandermonde"
+          | `Cauchy -> "cauchy")
+          k n
+      in
+      let data = Array.init k (fun _ -> block ()) in
+      let stripe = Rs_code.stripe code data in
+      let subsets = all_subsets n in
+      List.iter
+        (fun avail_set ->
+          let size = List.length avail_set in
+          if size >= k then
+            check_avail ~name ~block ~subsets code data stripe avail_set;
+          if size = k then check_off_codeword ~name ~block code avail_set)
+        subsets)
+    (List.concat_map
+       (fun field ->
+         List.concat_map
+           (fun construction ->
+             List.map
+               (fun kn -> (field, construction, kn))
+               [ (3, 5); (4, 6); (8, 10) ])
+           [ `Vandermonde; `Cauchy ])
+       [ `Gf8; `Gf16 ])
+
+let test_repair_invalid () =
+  let code = Rs_code.create ~k:3 ~n:5 () in
+  let stripe = Rs_code.stripe code (Array.init 3 (fun _ -> random_block 16)) in
+  let avail = List.init 3 (fun p -> (p, stripe.(p))) in
+  Alcotest.check_raises "too few"
+    (Invalid_argument "Rs_code.repair: fewer than k distinct blocks")
+    (fun () ->
+      let dup = [ (0, stripe.(0)); (0, stripe.(0)); (1, stripe.(1)) ] in
+      ignore (Rs_code.repair code dup ~wanted:[ 4 ]));
+  Alcotest.check_raises "bad source index"
+    (Invalid_argument "Rs_code.repair: bad index") (fun () ->
+      ignore (Rs_code.repair code ((5, stripe.(0)) :: avail) ~wanted:[ 4 ]));
+  Alcotest.check_raises "bad wanted index"
+    (Invalid_argument "Rs_code.repair: bad index") (fun () ->
+      ignore (Rs_code.repair code avail ~wanted:[ 5 ]));
+  Alcotest.check_raises "decode bad index"
+    (Invalid_argument "Rs_code.decode: bad index") (fun () ->
+      let bad = (-1, stripe.(0)) :: List.tl avail in
+      ignore (Rs_code.decode code bad))
+
 let test_delta_update_equals_reencode () =
   (* The protocol's core algebraic fact (Fig 3): applying
      alpha_ji*(v - w) to each redundant block equals re-encoding with the
@@ -394,6 +498,9 @@ let suite =
       t "decode with too few blocks" test_decode_too_few;
       t "decode ignores duplicate indices" test_decode_duplicate_indices;
       t "reconstruct full stripe" test_reconstruct_stripe;
+      t "repair: every available and wanted set (3/5, 4/6, 8/10)"
+        test_repair_exhaustive;
+      t "repair rejects too few blocks and bad indices" test_repair_invalid;
       t "delta update equals re-encode" test_delta_update_equals_reencode;
       t "concurrent updates commute (Fig 3C)" test_concurrent_updates_commute;
       t "verify_stripe" test_verify_stripe;
