@@ -19,7 +19,7 @@ type t = {
   gc : Gc.t;
 }
 
-let of_transport ?(sink = Trace.null_sink) ?locate ?repair_planner cfg code
+let of_transport ?(sink = Trace.null_sink) ~locate ?repair_planner cfg code
     transport =
   if Rs_code.k code <> cfg.Config.k || Rs_code.n code <> cfg.Config.n then
     invalid_arg "Client.of_transport: code does not match configuration";
@@ -27,7 +27,7 @@ let of_transport ?(sink = Trace.null_sink) ?locate ?repair_planner cfg code
   let session =
     Session.create ~cfg
       ~sink:(Trace.compose [ Metrics.sink metrics; sink ])
-      ?locate transport
+      ~locate transport
   in
   let recovery = Recovery.create ?planner:repair_planner ~code session in
   {

@@ -48,7 +48,7 @@ exception Write_abandoned of string
 
 val of_transport :
   ?sink:Trace.sink ->
-  ?locate:(slot:int -> pos:int -> int) ->
+  locate:(slot:int -> pos:int -> int) ->
   ?repair_planner:Recovery.planner ->
   Config.t ->
   Rs_code.t ->
@@ -56,9 +56,10 @@ val of_transport :
   t
 (** A client over a first-class transport module, with an optional
     structured trace sink (composed with the client's own metrics
-    registry).  [locate] keys the session's failure detector by logical
-    member node (see {!Session.create}); environments that rotate
-    positions across stripes should pass their {!Layout.node_of}.  The
+    registry).  [locate] maps a stripe position of a slot to the logical
+    member node serving it (see {!Session.create}): it keys the failure
+    detector and addresses the GC's per-node batches, so it must agree
+    with the transport's own routing (e.g. its {!Layout.node_of}).  The
     code must satisfy [Rs_code.k code = cfg.k] and
     [Rs_code.n code = cfg.n].  @raise Invalid_argument otherwise. *)
 

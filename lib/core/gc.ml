@@ -9,48 +9,51 @@ let create ~recovery session = { session; recovery; pending_gc = []; old_gc = []
 let completed t ~slot tid = t.pending_gc <- (slot, tid) :: t.pending_gc
 let pending t = List.length t.pending_gc + List.length t.old_gc
 
-let positions_of_tid t tid =
-  let cfg = Session.cfg t.session in
-  let reds = List.init (cfg.Config.n - cfg.Config.k) (fun r -> cfg.Config.k + r) in
-  List.sort_uniq compare (tid.Proto.blk :: reds)
+(* [(slot, tid)] pairs as one [(slot, tids)] entry per slot. *)
+let by_slot entries =
+  List.fold_left
+    (fun acc (slot, tid) ->
+      match acc with
+      | (s, tids) :: rest when s = slot -> (s, tid :: tids) :: rest
+      | _ -> (slot, [ tid ]) :: acc)
+    []
+    (List.stable_sort (fun (a, _) (b, _) -> compare b a) entries)
 
-(* Send one GC request per (slot, position) batch; a tid survives to the
-   next round unless every node acknowledged. *)
-let gc_round t ctx ~phase ~make_req entries =
-  let ok_tbl = Hashtbl.create 16 in
-  List.iter (fun (slot, tid) -> Hashtbl.replace ok_tbl (slot, tid) true) entries;
-  let by_slot = Hashtbl.create 8 in
+(* One [Gc_many] per node, under [pfor]: each node gets, per slot, the
+   tids whose write touched a position it serves.  A (slot, tid) is
+   kept for the next round iff a node it was sent to reported the slot
+   busy (locked / recovering) or timed out; GC requests are idempotent.
+   A [`Node_down] node's lists died with it: nothing to collect there. *)
+let gc_round t ctx ~phase entries =
+  let { Config.n; k; _ } = Session.cfg t.session in
+  let redundant = List.init (n - k) (fun r -> k + r) in
+  let per_node = Array.make n [] in
   List.iter
-    (fun (slot, tid) ->
-      let cur = Option.value (Hashtbl.find_opt by_slot slot) ~default:[] in
-      Hashtbl.replace by_slot slot (tid :: cur))
-    entries;
-  Hashtbl.iter
-    (fun slot tids ->
-      let poss =
-        List.sort_uniq compare (List.concat_map (positions_of_tid t) tids)
-      in
+    (fun ((slot, tid) as e) ->
       List.iter
         (fun pos ->
-          let relevant =
-            List.filter (fun tid -> List.mem pos (positions_of_tid t tid)) tids
-          in
-          match Session.call t.session ctx ~slot ~pos (make_req relevant) with
-          | Ok (Proto.R_gc { ok = true }) -> ()
-          | Ok (Proto.R_gc { ok = false }) | Error `Timeout ->
-            (* Node busy (locked / recovering) or unreachable through a
-               lossy link: GC requests are idempotent, keep these tids
-               for the next round. *)
-            List.iter
-              (fun tid -> Hashtbl.replace ok_tbl (slot, tid) false)
-              relevant
-          | Ok _ -> ()
-          | Error `Node_down ->
-            (* Its lists died with it; nothing to collect there. *)
-            ())
-        poss)
-    by_slot;
-  let acked, kept = List.partition (fun key -> Hashtbl.find ok_tbl key) entries in
+          let node = Session.node_of t.session ~slot ~pos in
+          per_node.(node) <- e :: per_node.(node))
+        (tid.Proto.blk :: redundant))
+    entries;
+  (* Each thunk writes only its own cell: they may run on other domains. *)
+  let kept = Array.make n [] in
+  let send node () =
+    let mine = per_node.(node) in
+    let req = Proto.Gc_many { phase; slots = by_slot mine } in
+    match Session.call_node t.session ctx ~node req with
+    | Ok (Proto.R_gc_many { busy }) ->
+      kept.(node) <- List.filter (fun (s, _) -> List.mem s busy) mine
+    | Error `Timeout -> kept.(node) <- mine
+    | Ok _ | Error `Node_down -> ()
+  in
+  Session.pfor t.session
+    (List.filter_map
+       (fun node -> if per_node.(node) = [] then None else Some (send node))
+       (List.init n Fun.id));
+  let keep = Hashtbl.create 16 in
+  Array.iter (List.iter (fun e -> Hashtbl.replace keep e ())) kept;
+  let kept, acked = List.partition (Hashtbl.mem keep) entries in
   if entries <> [] then
     Session.emit t.session ctx
       (Trace.Gc_batch
@@ -62,16 +65,9 @@ let collect t =
   Session.with_op t.session ctx @@ fun () ->
   (* Phase 1: drop tids (moved to oldlist in a previous round) from
      oldlists. *)
-  let dropped, kept_old =
-    gc_round t ctx ~phase:`Old ~make_req:(fun l -> Proto.Gc_old l) t.old_gc
-  in
-  ignore dropped;
+  let _dropped, kept_old = gc_round t ctx ~phase:`Old t.old_gc in
   (* Phase 2: move freshly completed tids from recentlist to oldlist. *)
-  let moved, kept_pending =
-    gc_round t ctx ~phase:`Recent
-      ~make_req:(fun l -> Proto.Gc_recent l)
-      t.pending_gc
-  in
+  let moved, kept_pending = gc_round t ctx ~phase:`Recent t.pending_gc in
   t.old_gc <- moved @ kept_old;
   t.pending_gc <- kept_pending
 

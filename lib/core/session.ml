@@ -11,10 +11,7 @@ type t = {
   mutable next_op : int;
 }
 
-let create ~cfg ~sink ?locate transport =
-  let locate =
-    match locate with Some f -> f | None -> fun ~slot:_ ~pos -> pos
-  in
+let create ~cfg ~sink ~locate transport =
   {
     cfg;
     transport;

@@ -45,13 +45,13 @@ type t
 val create :
   cfg:Config.t ->
   sink:Trace.sink ->
-  ?locate:(slot:int -> pos:int -> int) ->
+  locate:(slot:int -> pos:int -> int) ->
   Transport.t ->
   t
 (** [locate ~slot ~pos] maps a stripe position of a slot to the logical
     member node serving it (e.g. {!Layout.node_of} under rotation), so
     the failure detector is keyed by node even when positions rotate
-    across stripes.  Default: identity on [pos]. *)
+    across stripes, and the GC sends each node its own share. *)
 
 val cfg : t -> Config.t
 val client_id : t -> int

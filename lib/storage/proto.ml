@@ -55,6 +55,7 @@ type request =
   | Finalize of { epoch : int }
   | Gc_old of tid list
   | Gc_recent of tid list
+  | Gc_many of { phase : [ `Old | `Recent ]; slots : (int * tid list) list }
   | Probe of { older_than : float }
   | Get_meta
   | Mark_init
@@ -109,6 +110,7 @@ type response =
   | R_recent of tid list
   | R_reconstruct of { epoch : int }
   | R_gc of { ok : bool }
+  | R_gc_many of { busy : int list }
   | R_probe of { stale : int list; init : int list }
   | R_delta_probe of delta_probe
   | R_delta of { entries : delta_entry list; to_epoch : int; complete : bool }
@@ -146,6 +148,10 @@ let request_bytes = function
   | Reconstruct { cset; blk } -> 1 + list_bytes int_bytes cset + block_bytes blk
   | Finalize _ -> 1 + int_bytes
   | Gc_old tids | Gc_recent tids -> 1 + list_bytes tid_bytes tids
+  | Gc_many { slots; _ } ->
+    List.fold_left
+      (fun a (_, tids) -> a + int_bytes + list_bytes tid_bytes tids)
+      (1 + mode_bytes + 4) slots
   | Probe _ -> 1 + int_bytes
   | Delta_probe -> 1
   | Get_delta _ -> 1 + int_bytes
@@ -179,6 +185,7 @@ let response_bytes = function
   | R_recent tids -> 1 + list_bytes tid_bytes tids
   | R_reconstruct _ -> 1 + int_bytes
   | R_gc _ -> 1 + mode_bytes
+  | R_gc_many { busy } -> 1 + list_bytes int_bytes busy
   | R_probe { stale; init } ->
     1 + list_bytes int_bytes stale + list_bytes int_bytes init
   | R_delta_probe { dp_recent; dp_old; dp_tombs; _ } ->
@@ -234,6 +241,14 @@ let pp_request ppf = function
   | Finalize { epoch } -> Format.fprintf ppf "finalize{epoch=%d}" epoch
   | Gc_old tids -> Format.fprintf ppf "gc_old%a" pp_tid_list tids
   | Gc_recent tids -> Format.fprintf ppf "gc_recent%a" pp_tid_list tids
+  | Gc_many { phase; slots } ->
+    Format.fprintf ppf "gc_%s_many{%a}"
+      (match phase with `Old -> "old" | `Recent -> "recent")
+      (Format.pp_print_list
+         ~pp_sep:(fun ppf () -> Format.pp_print_string ppf " ")
+         (fun ppf (slot, tids) ->
+           Format.fprintf ppf "%d:%a" slot pp_tid_list tids))
+      slots
   | Probe { older_than } -> Format.fprintf ppf "probe{>%.3fs}" older_than
   | Delta_probe -> Format.pp_print_string ppf "delta_probe"
   | Get_delta { since_epoch } ->
@@ -291,6 +306,9 @@ let pp_response ppf = function
   | R_recent tids -> Format.fprintf ppf "r_recent%a" pp_tid_list tids
   | R_reconstruct { epoch } -> Format.fprintf ppf "r_reconstruct{epoch=%d}" epoch
   | R_gc { ok } -> Format.fprintf ppf "r_gc{%b}" ok
+  | R_gc_many { busy } ->
+    Format.fprintf ppf "r_gc_many{busy=[%s]}"
+      (String.concat ";" (List.map string_of_int busy))
   | R_probe { stale; init } ->
     let ints l = String.concat ";" (List.map string_of_int l) in
     Format.fprintf ppf "r_probe{stale=[%s] init=[%s]}" (ints stale) (ints init)
@@ -330,6 +348,8 @@ let request_tag = function
   | Finalize _ -> "finalize"
   | Gc_old _ -> "gc_old"
   | Gc_recent _ -> "gc_recent"
+  | Gc_many { phase = `Old; _ } -> "gc_old_many"
+  | Gc_many { phase = `Recent; _ } -> "gc_recent_many"
   | Probe _ -> "probe"
   | Delta_probe -> "delta_probe"
   | Get_delta _ -> "get_delta"

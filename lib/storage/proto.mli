@@ -69,6 +69,13 @@ type request =
   | Finalize of { epoch : int }
   | Gc_old of tid list
   | Gc_recent of tid list
+  | Gc_many of { phase : [ `Old | `Recent ]; slots : (int * tid list) list }
+      (** One node's share of a Fig 7 GC phase: for each slot, the tids
+          to drop from its oldlist ([`Old], as {!Gc_old}) or to move
+          from its recentlist to its oldlist ([`Recent], as
+          {!Gc_recent}).  Node-addressed like [Probe]; each entry runs
+          the per-slot request, so the per-slot lock and mode checks
+          are unchanged.  Answered by [R_gc_many]. *)
   | Probe of { older_than : float }
       (** Monitoring (Sec 3.10): report slots whose recentlist holds an
           entry older than [older_than] seconds (a started-but-unfinished
@@ -125,8 +132,9 @@ type delta_probe = {
   dp_old : tid list;  (** oldlist tids: completed-everywhere writes *)
   dp_tombs : tid list;  (** GC-dropped tids retained since last seal *)
   dp_tombs_overflow : bool;
-      (** the tombstone cap was hit; duplicate suppression is no
-          longer sound, so the slot cannot be a delta target *)
+      (** the tombstone cap was hit, or a dropped tid was too wide to
+          keep; duplicate suppression is no longer sound, so the slot
+          cannot be a delta target *)
   dp_log_floor : int;
       (** earliest epoch the delta log is complete back to; a member
           stale at [e] can be served iff [dp_log_floor <= e] *)
@@ -153,6 +161,9 @@ type response =
   | R_recent of tid list
   | R_reconstruct of { epoch : int }
   | R_gc of { ok : bool }
+  | R_gc_many of { busy : int list }
+      (** The slots of a [Gc_many] that were locked or not [Norm] and
+          so collected nothing; every other slot was collected. *)
   | R_probe of { stale : int list; init : int list }
   | R_delta_probe of delta_probe
   | R_delta of { entries : delta_entry list; to_epoch : int; complete : bool }

@@ -49,8 +49,12 @@ type slot = {
      any list, so a delta repairer needs them for duplicate suppression
      on both sides.  Cleared at finalize (the new base absorbs them);
      past [tombs_cap] the slot merely stops being delta-repairable
-     until the next seal. *)
-  mutable tombs : tid list;
+     until the next seal.  Each is a packed tid ([pack_tid]): one is
+     kept per collected write per member until the next seal, so its
+     size is most of what a write leaves behind.  [n_tombs] is
+     [List.length tombs]. *)
+  mutable tombs : int list;
+  mutable n_tombs : int;
   mutable tombs_overflow : bool;
 }
 
@@ -122,6 +126,7 @@ let fresh_slot t =
     dlog_floor = 0;
     dlog_reset = false;
     tombs = [];
+    n_tombs = 0;
     tombs_overflow = false;
   }
 
@@ -134,6 +139,18 @@ let slot t id =
     s
 
 let tids entries = List.map (fun e -> e.e_tid) entries
+
+(* A tid as one immediate int: 32 bits of seq, 16 of blk, 14 of client.
+   [None] for a tid outside those ranges, which a tombstone cannot
+   hold. *)
+let pack_tid { seq; blk; client } =
+  if seq >= 0 && seq < 1 lsl 32 && blk >= 0 && blk < 1 lsl 16 && client >= 0
+     && client < 1 lsl 14
+  then Some ((seq lsl 30) lor (blk lsl 14) lor client)
+  else None
+
+let unpack_tid p =
+  { seq = p lsr 30; blk = (p lsr 14) land 0xffff; client = p land 0x3fff }
 
 let mem_tid tid entries = List.exists (fun e -> tid_compare e.e_tid tid = 0) entries
 
@@ -257,6 +274,7 @@ let do_mark_init s =
   s.dlog_bytes <- 0;
   s.dlog_reset <- true;
   s.tombs <- [];
+  s.n_tombs <- 0;
   s.tombs_overflow <- false;
   R_ack
 
@@ -415,28 +433,44 @@ let do_reconstruct s ~cset ~blk =
   s.meta <- Checksum.make ~epoch:s.epoch ~writer:0L s.block;
   R_reconstruct { epoch = s.epoch }
 
-let do_finalize s ~epoch =
-  (* Same bytes, new epoch: carry the digest into the new epoch.  For
-     members that were NOT reconstructed this is the only maintenance
-     finalize needs; for reconstructed ones it follows do_reconstruct's
-     fresh record. *)
-  s.meta <- Checksum.reseal s.meta ~epoch;
-  s.epoch <- epoch;
-  s.recentlist <- [];
-  s.oldlist <- [];
-  s.recons_set <- None;
-  if s.opmode = Recons then s.opmode <- Norm;
-  s.lmode <- Unl;
-  s.lid <- None;
-  (* The new epoch's base absorbs everything: tombstones are moot, and a
-     reconstruct-invalidated log becomes complete again FROM this epoch. *)
-  if s.dlog_reset then begin
-    s.dlog_floor <- max s.dlog_floor epoch;
-    s.dlog_reset <- false
-  end;
-  s.tombs <- [];
-  s.tombs_overflow <- false;
-  R_ack
+(* Finalize seals only what the recovery rebuilt: a slot not in
+   [Recons] missed the reconstruct, so it keeps its epoch and lists
+   (epoch-stale, repaired later) and only the caller's lock is
+   released.  That covers a member that came back between reconstruct
+   and finalize (sealing its old bytes at the new epoch would pass them
+   off as current) and a resent finalize whose first copy already
+   unlocked the slot (re-running it would wipe the lists of the writes
+   that got in since). *)
+let do_finalize s ~caller ~epoch =
+  if s.opmode <> Recons then begin
+    if s.lid = Some caller then begin
+      s.lmode <- Unl;
+      s.lid <- None
+    end;
+    R_ack
+  end
+  else begin
+    (* Same bytes, new epoch: carry do_reconstruct's fresh record into
+       the new epoch. *)
+    s.meta <- Checksum.reseal s.meta ~epoch;
+    s.epoch <- epoch;
+    s.recentlist <- [];
+    s.oldlist <- [];
+    s.recons_set <- None;
+    s.opmode <- Norm;
+    s.lmode <- Unl;
+    s.lid <- None;
+    (* The new epoch's base absorbs everything: tombstones are moot, and a
+       reconstruct-invalidated log becomes complete again FROM this epoch. *)
+    if s.dlog_reset then begin
+      s.dlog_floor <- max s.dlog_floor epoch;
+      s.dlog_reset <- false
+    end;
+    s.tombs <- [];
+    s.n_tombs <- 0;
+    s.tombs_overflow <- false;
+    R_ack
+  end
 
 let do_gc_old t s tids_to_drop =
   if s.opmode <> Norm || s.lmode <> Unl then R_gc { ok = false }
@@ -452,8 +486,11 @@ let do_gc_old t s tids_to_drop =
        for duplicate suppression on both sides of a catch-up. *)
     List.iter
       (fun e ->
-        if List.length s.tombs >= t.tombs_cap then s.tombs_overflow <- true
-        else s.tombs <- e.e_tid :: s.tombs)
+        match pack_tid e.e_tid with
+        | Some p when s.n_tombs < t.tombs_cap ->
+          s.tombs <- p :: s.tombs;
+          s.n_tombs <- s.n_tombs + 1
+        | _ -> s.tombs_overflow <- true)
       dropped;
     R_gc { ok = true }
   end
@@ -492,7 +529,7 @@ let do_delta_probe t ~id s =
       dp_valid = s.opmode <> Init && self_ok t ~id s;
       dp_recent = tids s.recentlist;
       dp_old = tids s.oldlist;
-      dp_tombs = s.tombs;
+      dp_tombs = List.map unpack_tid s.tombs;
       dp_tombs_overflow = s.tombs_overflow;
       dp_log_floor = s.dlog_floor;
       dp_log_bytes = s.dlog_bytes;
@@ -521,7 +558,9 @@ let do_apply_delta t ~id s ~entries ~absorbed ~from_epoch ~to_epoch =
     let (module K : Kernel.S) = t.kernel in
     let known tid =
       mem_tid tid s.recentlist || mem_tid tid s.oldlist
-      || mem_plain_tid tid s.tombs
+      || (match pack_tid tid with
+         | Some p -> List.mem p s.tombs
+         | None -> false)
     in
     (* Re-filter by tid on this side too: the repairer computed the ship
        set from a probe that may have raced a concurrent retry. *)
@@ -541,6 +580,7 @@ let do_apply_delta t ~id s ~entries ~absorbed ~from_epoch ~to_epoch =
     s.oldlist <-
       List.filter (fun e -> not (mem_plain_tid e.e_tid absorbed)) s.oldlist;
     s.tombs <- [];
+    s.n_tombs <- 0;
     s.tombs_overflow <- false;
     s.epoch <- to_epoch;
     (* The cross-epoch reseal: the caught-up bytes are this member's
@@ -580,6 +620,21 @@ let rec handle t ~caller ~slot:slot_id req =
   | Probe { older_than } ->
     (* Node-wide: must not materialize the addressed slot. *)
     do_probe t ~older_than
+  | Gc_many { phase; slots } ->
+    (* Node-wide as well: each entry is the per-slot GC request, with
+       its lock expiry and Norm/Unl check. *)
+    let busy =
+      List.filter_map
+        (fun (slot, tids) ->
+          let req =
+            match phase with `Old -> Gc_old tids | `Recent -> Gc_recent tids
+          in
+          match handle_slot t ~caller ~slot req with
+          | R_gc { ok = true } -> None
+          | _ -> Some slot)
+        slots
+    in
+    R_gc_many { busy }
   | _ -> handle_slot t ~caller ~slot:slot_id req
 
 and handle_slot t ~caller ~slot:slot_id req =
@@ -606,14 +661,14 @@ and handle_slot t ~caller ~slot:slot_id req =
   | Get_state -> do_get_state t ~id:slot_id s
   | Getrecent lm -> do_getrecent s ~caller lm
   | Reconstruct { cset; blk } -> do_reconstruct s ~cset ~blk
-  | Finalize { epoch } -> do_finalize s ~epoch
+  | Finalize { epoch } -> do_finalize s ~caller ~epoch
   | Gc_old l -> do_gc_old t s l
   | Gc_recent l -> do_gc_recent s l
   | Delta_probe -> do_delta_probe t ~id:slot_id s
   | Get_delta { since_epoch } -> do_get_delta s ~since_epoch
   | Apply_delta { entries; absorbed; from_epoch; to_epoch } ->
     do_apply_delta t ~id:slot_id s ~entries ~absorbed ~from_epoch ~to_epoch
-  | Probe _ -> assert false (* dispatched in [handle] *)
+  | Probe _ | Gc_many _ -> assert false (* dispatched in [handle] *)
 
 let slot_count t = Hashtbl.length t.slots
 
@@ -661,7 +716,7 @@ let overhead_bytes t =
       let recons =
         match s.recons_set with None -> 0 | Some l -> 4 * List.length l
       in
-      let repair = s.dlog_bytes + (tid_bytes * List.length s.tombs) in
+      let repair = s.dlog_bytes + (tid_bytes * s.n_tombs) in
       acc + 1 + 2 + 4 + 2 + 2 + lists + recons + repair + Checksum.bytes_size)
     t.slots 0
 
@@ -731,7 +786,7 @@ let peek_oldlist t ~slot:id = tids (slot t id).oldlist
 let peek_dlog t ~slot:id = List.map (fun e -> e.d_tid) (slot t id).dlog
 let peek_dlog_bytes t ~slot:id = (slot t id).dlog_bytes
 let peek_dlog_floor t ~slot:id = (slot t id).dlog_floor
-let peek_tombs t ~slot:id = (slot t id).tombs
+let peek_tombs t ~slot:id = List.map unpack_tid (slot t id).tombs
 
 let oldest_recent_age t ~now =
   Hashtbl.fold

@@ -52,8 +52,10 @@ val create :
     so injected-fault detection times can be recorded node-side.
     [delta_log_cap] bounds the per-slot delta-repair log in bytes
     (default 64 KiB; 0 disables logging entirely) and [tombs_cap] the
-    per-slot tombstone count (default 512); exceeding either only
-    narrows delta-repair eligibility, never correctness.
+    per-slot tombstone count (default 512); exceeding either, or a tid
+    too wide for a tombstone (seq ≥ 2{^32}, blk ≥ 2{^16} or client
+    ≥ 2{^14}), only narrows delta-repair eligibility, never
+    correctness.
 
     {b Buffer ownership.}  The node applies adds in place and avoids
     block copies on read and swap: a [Read]/[Swap] response may alias
@@ -65,7 +67,9 @@ val create :
 
 val handle : t -> caller:int -> slot:int -> Proto.request -> Proto.response
 (** Serve one remote procedure call on a slot.  [caller] identifies the
-    invoking client (lock ownership, expiry). *)
+    invoking client (lock ownership, expiry).  [Probe] and [Gc_many]
+    are node-wide and ignore [slot]; [Gc_many] serves each of its
+    entries as the per-slot [Gc_old]/[Gc_recent] request. *)
 
 val slot_count : t -> int
 (** Number of slots this node has materialized. *)

@@ -106,6 +106,9 @@ let serve_cost cfg (req : Proto.request) =
             (List.fold_left
                (fun a (e : Proto.delta_entry) -> a + Bytes.length e.Proto.d_dv)
                0 entries)
+  | Proto.Gc_many { slots; _ } ->
+    (* Each slot entry is one per-slot GC request's worth of work. *)
+    control *. float_of_int (List.length slots)
   | Proto.Checktid _ | Proto.Trylock _ | Proto.Setlock _ | Proto.Get_state
   | Proto.Getrecent _ | Proto.Finalize _ | Proto.Gc_old _ | Proto.Gc_recent _
   | Proto.Probe _ | Proto.Mark_init ->

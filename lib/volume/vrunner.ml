@@ -78,22 +78,24 @@ let percentile q samples =
 (* Per-client GC fiber (Fig 7): tids are per client, so each client
    must collect its own completed writes — groups it never wrote to are
    skipped.  Without this, recentlists go stale and the monitor starts
-   repairing perfectly healthy stripes. *)
+   repairing perfectly healthy stripes.  Each group is collected once
+   per [period], the G groups' rounds staggered [period / G] apart so
+   their work does not land at one instant. *)
 let spawn_gc sc volume ~period ~live =
   Shard_cluster.spawn sc (fun () ->
-      let rec gc_loop () =
+      let groups = Volume.groups volume in
+      let step = period /. float_of_int groups in
+      let rec gc_loop g =
         if live () then begin
-          Fiber.sleep period;
-          for g = 0 to Volume.groups volume - 1 do
-            let client = Volume.group_client volume g in
-            if Client.pending_gc client > 0 then
-              try Client.collect_garbage client
-              with Client.Stuck _ | Shard_cluster.Client_crashed _ -> ()
-          done;
-          gc_loop ()
+          Fiber.sleep step;
+          let client = Volume.group_client volume g in
+          (if Client.pending_gc client > 0 then
+             try Client.collect_garbage client
+             with Client.Stuck _ | Shard_cluster.Client_crashed _ -> ());
+          gc_loop ((g + 1) mod groups)
         end
       in
-      gc_loop ())
+      gc_loop 0)
 
 (* One tenant's in-window reads, or writes. *)
 type tally = {

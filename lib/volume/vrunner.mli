@@ -122,7 +122,8 @@ val run_profile :
     [events] are found within about one sweep.  [gc_every] (default
     [Some 0.05]) paces the per-tenant GC fibers — tids are per client,
     so each tenant collects its own completed writes across the groups
-    it touched.  [sample_every] (default 1 s) and [on_sample] stream
+    it touched, each group once per period, the groups' rounds spread
+    evenly across it.  [sample_every] (default 1 s) and [on_sample] stream
     windowed throughput for timeline figures.
 
     [check], when given, records every block operation for the

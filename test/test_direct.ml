@@ -91,6 +91,85 @@ let test_gc_in_direct_mode () =
   Alcotest.(check int) "recentlist empty at data node" 0
     (List.length (Storage_node.peek_recentlist (Direct_env.node_store direct 0) ~slot:0))
 
+(* A client over a transport that counts every RPC it carries. *)
+let counting_client direct cfg ~id =
+  let calls = ref 0 in
+  let (module T : Transport.S) = Direct_env.transport direct ~id in
+  let transport =
+    (module struct
+      include T
+
+      let call ?deadline ~slot ~pos req =
+        incr calls;
+        T.call ?deadline ~slot ~pos req
+
+      let call_node ?deadline ~node req =
+        incr calls;
+        T.call_node ?deadline ~node req
+    end : Transport.S)
+  in
+  let layout = Layout.create ~k:cfg.Config.k ~n:cfg.Config.n () in
+  let client =
+    Client.of_transport
+      ~locate:(fun ~slot ~pos -> Layout.node_of layout ~stripe:slot ~pos)
+      cfg
+      (Rs_code.create ~k:cfg.Config.k ~n:cfg.Config.n ())
+      transport
+  in
+  (client, layout, calls)
+
+(* Fig 7 batched per node: one round over 64 writes' tids sends at most
+   one request per node and phase; a tid on a locked slot survives its
+   round and is collected once the slot is unlocked. *)
+let test_gc_round_batched_per_node () =
+  let cfg = cfg_3_5 () in
+  let n = cfg.Config.n in
+  let direct = Direct_env.create cfg in
+  let client, layout, calls = counting_client direct cfg ~id:1 in
+  let write_64 c =
+    for l = 0 to 63 do
+      Client.write client ~slot:(l / 3) ~i:(l mod 3) (blk cfg c)
+    done
+  in
+  write_64 'a';
+  Client.collect_garbage client;
+  write_64 'b';
+  calls := 0;
+  Client.collect_garbage client;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d RPCs for a round of 128 tids" !calls)
+    true
+    (!calls > 0 && !calls <= 2 * n);
+  (* Lock slot 5 at the node serving its block 1, as a recoverer would. *)
+  let locked = Layout.node_of layout ~stripe:5 ~pos:1 in
+  let store = Direct_env.node_store direct locked in
+  Client.write client ~slot:5 ~i:1 (blk cfg 'c');
+  ignore (Storage_node.handle store ~caller:9 ~slot:5 (Proto.Trylock Proto.L1));
+  for _ = 1 to 3 do
+    Client.collect_garbage client
+  done;
+  (* Left: the new write, not yet moved, and slot 5's previous block-1
+     write, moved everywhere but not yet dropped at the locked node. *)
+  Alcotest.(check int) "only the locked slot's tids are left" 2
+    (Client.pending_gc client);
+  Alcotest.(check (pair int int)) "still listed at the locked node" (1, 1)
+    ( List.length (Storage_node.peek_recentlist store ~slot:5),
+      List.length (Storage_node.peek_oldlist store ~slot:5) );
+  ignore (Storage_node.handle store ~caller:9 ~slot:5 (Proto.Setlock Proto.Unl));
+  Client.collect_garbage client;
+  Client.collect_garbage client;
+  Alcotest.(check int) "collected after unlock" 0 (Client.pending_gc client);
+  for node = 0 to n - 1 do
+    let st = Direct_env.node_store direct node in
+    for slot = 0 to 21 do
+      Alcotest.(check (pair int int))
+        (Printf.sprintf "node %d slot %d lists empty" node slot)
+        (0, 0)
+        ( List.length (Storage_node.peek_recentlist st ~slot),
+          List.length (Storage_node.peek_oldlist st ~slot) )
+    done
+  done
+
 let test_lock_expiry_via_failure_detector () =
   (* A "crashed" recoverer's lock expires through the failure-detector
      oracle, letting another client recover. *)
@@ -207,6 +286,7 @@ let suite =
       t "clock advances" test_clock_advances;
       t "two clients interoperate" test_two_clients_interleaved_sequentially;
       t "gc" test_gc_in_direct_mode;
+      t "gc round batched per node" test_gc_round_batched_per_node;
       t "lock expiry via failure detector" test_lock_expiry_via_failure_detector;
       t "bcast strategy falls back to unicast" test_bcast_strategy_falls_back;
       t "degraded read" test_degraded_read_direct;

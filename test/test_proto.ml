@@ -67,6 +67,18 @@ let test_gc_requests_scale_with_tids () =
   let gc n = request_bytes (Gc_old (List.init n (fun i -> tid i 0 1))) in
   Alcotest.(check int) "per-tid cost" (3 * tid_bytes) (gc 5 - gc 2)
 
+let test_gc_many_bytes () =
+  let batch slots = request_bytes (Gc_many { phase = `Recent; slots }) in
+  let tids n = List.init n (fun i -> tid i 0 1) in
+  Alcotest.(check int) "per-tid cost" (3 * tid_bytes)
+    (batch [ (0, tids 5) ] - batch [ (0, tids 2) ]);
+  Alcotest.(check int) "per-slot cost: slot id + list header"
+    (4 + 4 + tid_bytes)
+    (batch [ (0, tids 2); (1, tids 1) ] - batch [ (0, tids 2) ]);
+  Alcotest.(check int) "busy reply per slot" 4
+    (response_bytes (R_gc_many { busy = [ 1; 2 ] })
+    - response_bytes (R_gc_many { busy = [ 1 ] }))
+
 let test_response_sizes () =
   (* A read reply carries the block; an error reply does not. *)
   let full = response_bytes (R_read { block = Some (blk 1024); lmode = Unl }) in
@@ -114,6 +126,8 @@ let test_tags_distinct () =
       Finalize { epoch = 0 };
       Gc_old [];
       Gc_recent [];
+      Gc_many { phase = `Old; slots = [] };
+      Gc_many { phase = `Recent; slots = [] };
       Probe { older_than = 0. };
     ]
   in
@@ -133,6 +147,16 @@ let test_pp_printers () =
        (Add { dv = blk 16; ntid = tid 1 0 1; otid = Some (tid 0 0 1); epoch = 2 }));
   Alcotest.(check string) "gc batch" "gc_recent[<0,0,c1>;<1,2,c3>]"
     (s pp_request (Gc_recent [ tid 0 0 1; tid 1 2 3 ]));
+  Alcotest.(check string) "gc batch per node"
+    "gc_old_many{4:[<0,0,c1>] 9:[<1,2,c3>;<2,2,c3>]}"
+    (s pp_request
+       (Gc_many
+          {
+            phase = `Old;
+            slots = [ (4, [ tid 0 0 1 ]); (9, [ tid 1 2 3; tid 2 2 3 ]) ];
+          }));
+  Alcotest.(check string) "gc batch reply" "r_gc_many{busy=[3;8]}"
+    (s pp_response (R_gc_many { busy = [ 3; 8 ] }));
   Alcotest.(check string) "response: locked read" "r_read{- lmode=L1}"
     (s pp_response (R_read { block = None; lmode = L1 }));
   Alcotest.(check string) "response: add order rejection"
@@ -157,6 +181,7 @@ let suite =
       t "request sizes scale with block" test_request_sizes_scale_with_block;
       t "otid adds tid bytes" test_add_with_otid_larger;
       t "gc requests scale with tids" test_gc_requests_scale_with_tids;
+      t "gc batch sizes" test_gc_many_bytes;
       t "response sizes" test_response_sizes;
       t "state view size" test_state_view_size;
       t "request tags distinct" test_tags_distinct;

@@ -236,6 +236,88 @@ let test_gc_rejected_when_locked () =
   | R_gc { ok = false } -> ()
   | _ -> Alcotest.fail "gc_old under lock"
 
+(* One node's GC batch over a locked slot (1), a recovering slot (2)
+   and a Norm, unlocked one (3): the first two are busy and keep their
+   lists; the third is collected, in both phases. *)
+let test_gc_many_reports_busy_slots () =
+  let node, _ = make_node () in
+  List.iter
+    (fun slot ->
+      ignore (call ~slot node (Swap { v = block 'a'; ntid = tid slot 0 1 })))
+    [ 1; 2; 3 ];
+  ignore (call ~caller:2 ~slot:1 node (Trylock L1));
+  ignore (call ~slot:2 node (Reconstruct { cset = [ 0; 1 ]; blk = block 'r' }));
+  let batch phase =
+    Gc_many { phase; slots = List.map (fun s -> (s, [ tid s 0 1 ])) [ 1; 2; 3 ] }
+  in
+  (match call ~slot:7 node (batch `Recent) with
+  | R_gc_many { busy } -> Alcotest.(check (list int)) "busy" [ 1; 2 ] busy
+  | _ -> Alcotest.fail "gc_many recent");
+  let lens slot =
+    ( List.length (Storage_node.peek_recentlist node ~slot),
+      List.length (Storage_node.peek_oldlist node ~slot) )
+  in
+  Alcotest.(check (list (pair int int)))
+    "lists after phase 2" [ (1, 0); (1, 0); (0, 1) ]
+    (List.map lens [ 1; 2; 3 ]);
+  (match call node (batch `Old) with
+  | R_gc_many { busy } -> Alcotest.(check (list int)) "busy" [ 1; 2 ] busy
+  | _ -> Alcotest.fail "gc_many old");
+  Alcotest.(check (pair int int)) "collected" (0, 0) (lens 3);
+  Alcotest.(check (list (testable pp_tid ( = )))) "tombstoned" [ tid 3 0 1 ]
+    (Storage_node.peek_tombs node ~slot:3);
+  Alcotest.(check int) "node-wide: slot 7 not materialized" 3
+    (Storage_node.slot_count node)
+
+(* Tombstones keep tids packed: one that does not fit marks the slot
+   overflowed (no longer a delta target) instead of being dropped
+   silently or kept inexactly. *)
+let test_tombstones_pack_tids () =
+  let node, _ = make_node () in
+  let wide = tid 5 1 (1 lsl 14) and fits = tid ((1 lsl 32) - 1) 3 ((1 lsl 14) - 1) in
+  let collect t =
+    ignore (call node (Swap { v = block 'a'; ntid = t }));
+    ignore (call node (Gc_recent [ t ]));
+    ignore (call node (Gc_old [ t ]))
+  in
+  collect fits;
+  let tid_t = Alcotest.testable pp_tid ( = ) in
+  Alcotest.(check (list tid_t)) "widest packable tid round-trips" [ fits ]
+    (Storage_node.peek_tombs node ~slot:0);
+  collect wide;
+  Alcotest.(check int) "too wide: not kept" 1
+    (List.length (Storage_node.peek_tombs node ~slot:0));
+  match call node Delta_probe with
+  | R_delta_probe { dp_tombs_overflow = true; _ } -> ()
+  | _ -> Alcotest.fail "expected tombstone overflow"
+
+(* A finalize resent after its first copy unlocked the slot (reply
+   lost) must not wipe the writes that got in between. *)
+let test_finalize_resend_is_noop () =
+  let node, _ = make_node () in
+  ignore (call ~caller:2 node (Trylock L1));
+  ignore (call ~caller:2 node (Reconstruct { cset = [ 0; 1 ]; blk = block 'r' }));
+  ignore (call ~caller:2 node (Finalize { epoch = 1 }));
+  ignore (call node (Swap { v = block 'a'; ntid = tid 0 0 1 }));
+  ignore (call ~caller:2 node (Finalize { epoch = 1 }));
+  Alcotest.(check int) "write still listed" 1
+    (List.length (Storage_node.peek_recentlist node ~slot:0));
+  Alcotest.(check int) "epoch" 1 (Storage_node.peek_epoch node ~slot:0)
+
+(* A member the recovery did not rebuild (down at its reconstruct,
+   back for its finalize) keeps its epoch and lists; only the caller's
+   lock is released. *)
+let test_finalize_skips_unrebuilt_member () =
+  let node, _ = make_node () in
+  ignore (call node (Swap { v = block 'a'; ntid = tid 0 0 1 }));
+  ignore (call ~caller:2 node (Trylock L1));
+  ignore (call ~caller:2 node (Finalize { epoch = 1 }));
+  Alcotest.(check int) "epoch kept" 0 (Storage_node.peek_epoch node ~slot:0);
+  Alcotest.(check int) "lists kept" 1
+    (List.length (Storage_node.peek_recentlist node ~slot:0));
+  Alcotest.(check bool) "unlocked" true
+    (Storage_node.peek_lmode node ~slot:0 = Unl)
+
 let test_probe () =
   let node, time = make_node () in
   ignore (call ~slot:3 node (Swap { v = block 'a'; ntid = tid 0 0 1 }));
@@ -357,6 +439,10 @@ let suite =
       t "checktid transitions" test_checktid_transitions;
       t "gc two-phase" test_gc_two_phase;
       t "gc rejected when locked" test_gc_rejected_when_locked;
+      t "gc batch reports busy slots" test_gc_many_reports_busy_slots;
+      t "finalize resend is a no-op" test_finalize_resend_is_noop;
+      t "tombstones pack tids" test_tombstones_pack_tids;
+      t "finalize skips an unrebuilt member" test_finalize_skips_unrebuilt_member;
       t "probe stale and INIT slots" test_probe;
       t "probe does not materialize slots" test_probe_does_not_materialize;
       t "overhead accounting (Sec 6.5)" test_overhead_accounting;

@@ -591,13 +591,45 @@ let test_profile_run_gc_and_background () =
     Vrunner.run_profile ~events ~background:(4000., [ Monitor; Supervise ])
       ~blocks:128 ~sc ~tenants ~duration:0.4 ()
   in
-  let gc_msgs = Stats.counter (Shard_cluster.stats sc) "msgs.gc_recent" in
+  let gc_msgs = Stats.counter (Shard_cluster.stats sc) "msgs.gc_recent_many" in
   Alcotest.(check bool)
     (Printf.sprintf "GC RPCs sent (%.0f)" gc_msgs)
     true (gc_msgs > 0.);
   Alcotest.(check bool) "crashed node repaired" true
     (r.Vrunner.background.repaired_at <> []);
   Alcotest.(check int) "no failed request" 0 r.Vrunner.pf_stalls
+
+(* Fig 7 pacing in the simulator: sim-mixed's shape (G = 4 groups of
+   k = 4, n = 6 over 24 nodes, 4 KiB blocks, mixed-70-30) at a smaller
+   size.  Every GC round, from its [Op_gc] start to its end, must fit in
+   the [gc_every] period (0.05 s) that is meant to pace it. *)
+let test_sim_gc_round_fits_its_period () =
+  let cfg =
+    Config.make ~t_p:1 ~block_size:4096 ~k:4 ~n:6 ~stale_write_age:0.3 ()
+  in
+  let placement =
+    Placement.make ~seed:0x7ace ~groups:4 ~nodes_per_group:6 ~pool:24 ()
+  in
+  let sc = Shard_cluster.create ~seed:(0xF0 + seed_offset) ~placement cfg in
+  let tenants =
+    [
+      {
+        Vrunner.tn_name = "mixed";
+        tn_profile = Option.get (Profile.find "mixed-70-30");
+        tn_qos_blocks_per_sec = None;
+        tn_seed = 1 + seed_offset;
+      };
+    ]
+  in
+  ignore (Vrunner.run_profile ~blocks:256 ~sc ~tenants ~duration:0.3 ());
+  let gc = Metrics.latency (Shard_cluster.metrics sc) Trace.Op_gc in
+  Alcotest.(check bool)
+    (Printf.sprintf "GC rounds ran (%d)" gc.Metrics.l_count)
+    true (gc.Metrics.l_count > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "longest GC round %.4f s < 0.05 s" gc.Metrics.l_max)
+    true
+    (gc.Metrics.l_max < 0.05)
 
 (* An open-loop, multi-block profile run takes the checker: every block
    of every request is recorded, and the history is regular. *)
@@ -976,6 +1008,7 @@ let suite =
       t "profile run collects garbage under background"
         test_profile_run_gc_and_background;
       t "profile run takes the checker" test_profile_run_check;
+      t "sim GC round fits its period" test_sim_gc_round_fits_its_period;
       t "scrubber detects at-rest faults" test_scrubber_detects_at_rest_faults;
       t "lazy floor defers a transient blip" test_lazy_floor_defers_transient_blip;
       t "repair planner avoids draining sources"
