@@ -22,10 +22,11 @@
    - simulated: the same profile through the discrete-event simulator
      for side-by-side reading.
 
-   Every leg's environments use the same worker and pool counts, so
-   on 2- and 4-core hosts they all park; on a bigger one the race leg
-   spins while the 300 us scaling legs and the 64 KiB CPU leg still
-   park (Par_env.spins).  The summary records which handoff was
+   Every leg's environments use the same worker count, and each
+   writer's pfor fan-out runs as coroutines on its own domain (no pfor
+   pool), so on a 2- or 3-core host every leg parks; on 4 or more the
+   race leg spins while the 300 us scaling legs and the 64 KiB CPU leg
+   still park (Par_env.spins).  The summary records which handoff was
    measured. *)
 
 open Ecs_volume
@@ -37,7 +38,6 @@ let blocks_per_writer = 64
 let service_time = 300e-6
 let block_size = 4096
 let workers = 3
-let pfor_workers = 1
 let cpu_block_size = 65536
 let cpu_domains = [ 1; 2 ]
 let cpu_ops = 48
@@ -99,7 +99,7 @@ let writer_body env ~cfg ~w () =
 
 let scaling_run ~domains =
   let cfg = cfg ~block_size in
-  let env = Par_env.create ~workers ~pfor_workers ~service_time cfg in
+  let env = Par_env.create ~workers ~service_time cfg in
   note_handoff env;
   (* Seed every slot any writer can touch so reads always hit written
      data (and the timed region contains no first-touch recoveries). *)
@@ -162,7 +162,7 @@ let scaling_run ~domains =
    summary tells the consumer which regime produced the numbers. *)
 let cpu_run ~domains =
   let cfg = cfg ~block_size:cpu_block_size in
-  let env = Par_env.create ~workers ~pfor_workers ~service_time:0. cfg in
+  let env = Par_env.create ~workers ~service_time:0. cfg in
   note_handoff env;
   let go = Atomic.make false in
   let doms =
@@ -205,7 +205,7 @@ let adds_race () =
   let t0 = Unix.gettimeofday () in
   let ok = ref true in
   for round = 1 to race_rounds do
-    let env = Par_env.create ~workers ~pfor_workers cfg in
+    let env = Par_env.create ~workers cfg in
     note_handoff env;
     let doms =
       List.init race_writers (fun i ->
@@ -314,7 +314,6 @@ let run ?json () =
                 ("n", J_int 6);
                 ("block_size", J_int block_size);
                 ("workers", J_int workers);
-                ("pfor_workers", J_int pfor_workers);
                 ("service_time_us", J_float (1e6 *. service_time, 1));
                 ("ops_per_writer", J_int ops_per_writer);
                 ("cores", J_int cores);

@@ -36,7 +36,7 @@ let gc_round t ctx ~phase entries =
           per_node.(node) <- e :: per_node.(node))
         (tid.Proto.blk :: redundant))
     entries;
-  (* Each thunk writes only its own cell: they may run on other domains. *)
+  (* Each thunk writes only its own cell, whatever order they finish in. *)
   let kept = Array.make n [] in
   let send node () =
     let mine = per_node.(node) in

@@ -23,18 +23,10 @@ type node_h = {
 
 type hook = transition -> unit
 
-(* [m] serializes every observation and query: a client's [pfor] runs
-   session calls — each of which feeds this detector — concurrently on
-   a domain pool, so the per-node score/EWMA read-modify-writes need a
-   guard.  The lock is per-client and uncontended outside parallel
-   fan-outs; single-domain behaviour is unchanged.  Transition hooks
-   fire inside the lock — they are documented as enqueue-and-return
-   (see mli), so they must not call back into [Health]. *)
 type t = {
   p : Config.health;
   nodes : node_h array;
   mutable hooks : hook list;
-  m : Mutex.t;
 }
 
 let create (cfg : Config.t) =
@@ -56,11 +48,9 @@ let create (cfg : Config.t) =
     p = cfg.Config.health;
     nodes = Array.init cfg.Config.n (fun _ -> node ());
     hooks = [];
-    m = Mutex.create ();
   }
 
-let locked t f = Mutex.protect t.m f
-let on_transition t hook = locked t (fun () -> t.hooks <- hook :: t.hooks)
+let on_transition t hook = t.hooks <- hook :: t.hooks
 let n t = Array.length t.nodes
 
 let nh t node =
@@ -68,11 +58,11 @@ let nh t node =
     invalid_arg "Health: node out of range";
   t.nodes.(node)
 
-let state t ~node = locked t (fun () -> (nh t node).st)
-let score t ~node = locked t (fun () -> (nh t node).score)
-let rtt_avg t ~node = locked t (fun () -> (nh t node).rtt_avg)
-let rtt_peak t ~node = locked t (fun () -> (nh t node).rtt_peak)
-let quarantines t ~node = locked t (fun () -> (nh t node).quarantines)
+let state t ~node = (nh t node).st
+let score t ~node = (nh t node).score
+let rtt_avg t ~node = (nh t node).rtt_avg
+let rtt_peak t ~node = (nh t node).rtt_peak
+let quarantines t ~node = (nh t node).quarantines
 
 let goto t h ~node ~now to_ =
   let from_ = h.st in
@@ -107,7 +97,6 @@ let observe_rtt h rtt =
 let clamp lo hi v = Float.min hi (Float.max lo v)
 
 let deadline t ~node =
-  locked t @@ fun () ->
   let h = nh t node in
   if h.samples = 0 then t.p.timeout_ceil
   else
@@ -115,7 +104,6 @@ let deadline t ~node =
       (t.p.timeout_mult *. Float.max h.rtt_peak h.rtt_avg)
 
 let hedge_delay t ~node =
-  locked t @@ fun () ->
   let h = nh t node in
   if h.samples = 0 then t.p.timeout_floor
   else
@@ -130,7 +118,6 @@ let enter_down t h ~node ~now =
   goto t h ~node ~now Down
 
 let observe_ok t ~now ~node ~rtt =
-  locked t @@ fun () ->
   let h = nh t node in
   decay t h ~now;
   observe_rtt h rtt;
@@ -155,7 +142,6 @@ let observe_ok t ~now ~node ~rtt =
     goto t h ~node ~now Probation
 
 let observe_timeout t ~now ~node =
-  locked t @@ fun () ->
   let h = nh t node in
   decay t h ~now;
   h.score <- h.score +. 1.;
@@ -167,14 +153,12 @@ let observe_timeout t ~now ~node =
   | Healthy | Suspect | Down -> None
 
 let observe_down t ~now ~node =
-  locked t @@ fun () ->
   let h = nh t node in
   decay t h ~now;
   h.score <- Float.max h.score t.p.down_score;
   match h.st with Down -> None | _ -> enter_down t h ~node ~now
 
 let fast_fail t ~now ~node =
-  locked t @@ fun () ->
   let h = nh t node in
   match h.st with
   | Down when now < h.trial_at -> (true, None)

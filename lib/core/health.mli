@@ -30,14 +30,10 @@
     observation call; they must not call back into the protocol stack
     (enqueue and return — see {!Supervisor}).
 
-    {b Domain safety.}  Every observation and query is serialized by an
-    internal per-detector mutex: the detector is owned by one client,
-    but that client's [pfor] runs session calls — each an observation —
-    concurrently on a domain pool under the parallel transport.  The
-    lock is uncontended outside those fan-outs; single-domain behaviour
-    is unchanged.  Hooks fire while the lock is held, which is
-    compatible with (and enforced by) the enqueue-and-return rule
-    above — a hook must not call back into this module. *)
+    {b Domain safety.}  The detector takes no lock: it is owned by one
+    client, and every transport runs that client's [pfor] thunks on the
+    client's own domain (the parallel transport as coroutines), so
+    observations never race. *)
 
 type state = Healthy | Suspect | Down | Probation
 

@@ -2,8 +2,7 @@ type latency = { l_count : int; l_total : float; l_max : float }
 
 (* Counters are Atomic.t ints and latency aggregates are CAS-updated
    immutable records, so one registry can be fed concurrently from many
-   domains (parallel clients sharing a sink, or one client whose pfor
-   fans session calls across a domain pool) without losing updates.
+   domains (parallel clients sharing a sink) without losing updates.
    The key SETS themselves are fixed at [create] — including the
    "unknown" sentinel — so no code path ever mutates the hashtables
    after construction, which is what makes the lock-free reads sound.

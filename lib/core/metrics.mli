@@ -13,8 +13,7 @@
     {b Domain safety.}  Counters are atomics and latency aggregates are
     CAS-updated, and no event ever mutates the key tables after
     {!create}: one registry may be fed concurrently from many domains
-    (the parallel transport's clients, or a single client whose [pfor]
-    fans session calls across a domain pool) without losing updates or
+    (the parallel transport's clients) without losing updates or
     taking a lock.
 
     Counter keys:

@@ -151,9 +151,9 @@ let degraded_with_ctx t ctx ~slot ~i =
    held back until we know the hedge did not produce a value. *)
 let read_hedged t ctx ~slot ~i ~node =
   let s = t.session in
-  (* Both thunks race on [winner] when pfor runs them on different
-     domains, so the cell is claimed with a CAS — exactly one value
-     wins, and Hedge_won is emitted only by the claiming hedge.
+  (* Both thunks race on [winner] (interleaved at their calls, on the
+     calling domain), so the cell is claimed with a CAS — exactly one
+     value wins, and Hedge_won is emitted only by the claiming hedge.
      [stuck] is written by the primary thunk alone and read after the
      pfor barrier. *)
   let winner = Atomic.make None in

@@ -176,7 +176,7 @@ let try_delta t ctx ~slot =
   let bytes_read = ref 0 in
   let bytes_shipped = ref 0 in
   let probes = Array.make n None in
-  (* Probe thunks may run on different domains: each writes only its own
+  (* Probe thunks interleave at their calls: each writes only its own
      array slots; the shared counter is summed after the barrier. *)
   let probe_bytes = Array.make n 0 in
   Session.pfor s
@@ -601,7 +601,7 @@ let recover_full t ctx ~slot =
     let rebuilt = Rs_code.repair t.code sources ~wanted in
     List.iteri (fun i pos -> stripe.(pos) <- rebuilt.(i)) wanted;
     let epochs = Array.make n 0 in
-    (* Rewrite thunks may run on different domains: per-position array
+    (* Rewrite thunks interleave at their calls: per-position array
        slots only; the shared counter is summed after the barrier. *)
     let ship_bytes = Array.make n 0 in
     Session.pfor s

@@ -52,11 +52,12 @@ let add_result_of_call = function
    at the actor boundary — so no reference to the payload survives the
    call.
 
-   Parallelism discipline: [pfor] may run the unicast thunks on
-   different domains, so a shared cons-list accumulator would race.
-   Instead each thunk claims a completion rank from an atomic counter
-   and writes its own slot of a pre-sized array; the returned list
-   (reversed completion order) is byte-identical to the historical
+   Parallelism discipline: [pfor] interleaves the unicast thunks at
+   their calls (fibers in the simulator, coroutines on the calling
+   domain in the parallel transport), never across domains.  Each
+   thunk claims a completion rank from an atomic counter and writes its
+   own slot of a pre-sized array; the returned list (reversed
+   completion order) is byte-identical to the historical
    cons-per-record list on every transport, including the simulator's
    interleaved fibers. *)
 let dispatch_adds t ctx ~slot ~i ~ntid ~v ~blk ~otid ~epoch ~targets =
@@ -242,7 +243,7 @@ let write t ~slot ~i v =
         match !otid with
         | None -> ()
         | Some o ->
-          (* The check thunks may run on different domains: each writes
+          (* The check thunks interleave at their calls: each writes
              only its own [drop] slot; the predecessor-collected verdict
              is an idempotent flag, published through an atomic. *)
           let da = Array.of_list !d in

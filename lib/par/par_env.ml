@@ -3,13 +3,17 @@
    everything that crosses a domain boundary goes through a mailbox or
    an atomic, and block payloads are deep-copied at the boundary. *)
 
+open Effect
+open Effect.Deep
+
 (* One-shot reply cell.  The owner publishes the answer by swapping in
-   [Done]; the caller may spin on the cell first (see [await]), then
-   parks.  Only then are a mutex and condvar made: the caller installs
-   [Parked] while holding the mutex, so an owner that swaps out
-   [Parked] must wait for that mutex to signal, which it gets only
-   once the caller is inside [Condition.wait].  Either way the answer
-   is seen: no lost wake-up. *)
+   [Done].  A caller with nothing left to run may spin on its cells
+   first (see [block]), then parks on its domain's one waiter: holding
+   the waiter's mutex it marks each cell [Parked] with a
+   compare-and-set and re-checks the cells under it before every wait,
+   so an owner that swaps out [Parked] must wait for that mutex to
+   signal, which it gets only once the caller is inside
+   [Condition.wait].  Either way the answer is seen: no lost wake-up. *)
 type waiter = { wm : Mutex.t; wc : Condition.t }
 type reply_state = Pending | Parked of waiter | Done of Transport.call_result
 type reply = reply_state Atomic.t
@@ -39,7 +43,6 @@ type t = {
   layout : Layout.t;
   nodes : node_slot array;
   wrk : worker array;
-  pool : Par_pool.t;
   fm : Mutex.t;
   failed_clients : (int, unit) Hashtbl.t;  (* under [fm] *)
   t0 : float;
@@ -99,20 +102,151 @@ let answer reply r =
 
 let is_done reply = match Atomic.get reply with Done _ -> true | _ -> false
 
-let park reply =
-  if not (is_done reply) then begin
-    let w = { wm = Mutex.create (); wc = Condition.create () } in
-    Mutex.protect w.wm (fun () ->
-        if Atomic.compare_and_set reply Pending (Parked w) then
-          while not (is_done reply) do
-            Condition.wait w.wc w.wm
-          done)
+let result reply =
+  match Atomic.get reply with Done r -> r | Pending | Parked _ -> assert false
+
+let waiter =
+  Domain.DLS.new_key (fun () ->
+      { wm = Mutex.create (); wc = Condition.create () })
+
+(* Park until one of [cells] is done.  A cell left [Parked] past this
+   wait only costs its owner a signal nobody waits for. *)
+let park cells =
+  let w = Domain.DLS.get waiter in
+  Mutex.protect w.wm (fun () ->
+      List.iter
+        (fun c -> ignore (Atomic.compare_and_set c Pending (Parked w)))
+        cells;
+      while not (List.exists is_done cells) do
+        Condition.wait w.wc w.wm
+      done)
+
+(* ------------------------------------------------------------------ *)
+(* [pfor] thunks are coroutines on the calling domain, the way the
+   simulator runs them as fibers: a call whose reply cell is still
+   empty performs [Await] and yields, and the caller's loop resumes
+   whichever thunk's cell has filled.  [looping] marks a domain inside
+   a loop; a call made outside one blocks on its cell. *)
+
+type _ Effect.t +=
+  | Await : reply -> Transport.call_result Effect.t
+  | Sleep_until : float -> unit Effect.t
+  | Fork : (unit -> unit) list -> unit Effect.t  (* nested pfor *)
+
+(* Resumptions that can run, and those waiting for a reply cell or a
+   wake-up time. *)
+type loop = {
+  ready : (unit -> unit) Queue.t;
+  mutable cells : (reply * (unit -> unit)) list;
+  mutable timers : (float * (unit -> unit)) list;
+}
+
+let looping = Domain.DLS.new_key (fun () -> ref false)
+
+(* While a timer is pending and no cell has filled, the loop sleeps in
+   slices this long: OCaml 5.1 has no timed [Condition.wait]. *)
+let timer_slice = 100e-6
+
+(* Queue [thunks] on [lp]; once the last finishes, [join] gets the
+   first exception one raised. *)
+let rec spawn lp thunks ~join =
+  let left = ref (List.length thunks) and failed = ref None in
+  let finish e =
+    if Option.is_none !failed then failed := e;
+    decr left;
+    if !left = 0 then join !failed
+  in
+  let start f () = match_with f () (handler lp finish) in
+  List.iter (fun f -> Queue.push (start f) lp.ready) thunks
+
+and handler lp finish =
+  {
+    retc = (fun () -> finish None);
+    exnc = (fun e -> finish (Some e));
+    effc =
+      (fun (type a) (e : a Effect.t) ->
+        match e with
+        | Await r ->
+          Some
+            (fun (k : (a, unit) continuation) ->
+              lp.cells <- (r, fun () -> continue k (result r)) :: lp.cells)
+        | Sleep_until at ->
+          Some
+            (fun (k : (a, unit) continuation) ->
+              lp.timers <- (at, fun () -> continue k ()) :: lp.timers)
+        | Fork thunks ->
+          Some
+            (fun (k : (a, unit) continuation) ->
+              spawn lp thunks ~join:(fun failed ->
+                  Queue.push
+                    (fun () ->
+                      match failed with
+                      | None -> continue k ()
+                      | Some e -> discontinue k e)
+                    lp.ready))
+        | _ -> None);
+  }
+
+(* Nothing can run: wait for a cell to fill, or for one timer slice
+   while a timer is pending. *)
+let block t lp =
+  let any () = List.exists (fun (r, _) -> is_done r) lp.cells in
+  if not (t.spin && Par_mailbox.spin_until any) then
+    match lp.timers with
+    | [] -> park (List.map fst lp.cells)
+    | (at, _) :: rest ->
+      let next = List.fold_left (fun m (a, _) -> Float.min m a) at rest in
+      let dt = Float.min timer_slice (next -. Unix.gettimeofday ()) in
+      if dt > 0. then Unix.sleepf dt
+
+let wake t lp =
+  let now = Unix.gettimeofday () in
+  let due, timers = List.partition (fun (at, _) -> at <= now) lp.timers in
+  let filled, cells = List.partition (fun (r, _) -> is_done r) lp.cells in
+  lp.timers <- timers;
+  lp.cells <- cells;
+  List.iter (fun (_, f) -> Queue.push f lp.ready) due;
+  List.iter (fun (_, f) -> Queue.push f lp.ready) filled;
+  if due = [] && filled = [] then begin
+    assert (cells <> [] || timers <> []);
+    block t lp
   end
 
+let run_loop t thunks =
+  let lp = { ready = Queue.create (); cells = []; timers = [] } in
+  let outcome = ref None in
+  spawn lp thunks ~join:(fun failed -> outcome := Some failed);
+  let on = Domain.DLS.get looping in
+  on := true;
+  Fun.protect
+    ~finally:(fun () -> on := false)
+    (fun () ->
+      while Option.is_none !outcome do
+        match Queue.take_opt lp.ready with Some f -> f () | None -> wake t lp
+      done);
+  Option.iter (Option.iter raise) !outcome
+
 let await t reply =
-  if not (t.spin && Par_mailbox.spin_until (fun () -> is_done reply)) then
-    park reply;
-  match Atomic.get reply with Done r -> r | Pending | Parked _ -> assert false
+  if !(Domain.DLS.get looping) then
+    if is_done reply then result reply else perform (Await reply)
+  else begin
+    if not (t.spin && Par_mailbox.spin_until (fun () -> is_done reply)) then
+      park [ reply ];
+    result reply
+  end
+
+let pfor t = function
+  | [] -> ()
+  | [ f ] -> f ()
+  | thunks ->
+    if !(Domain.DLS.get looping) then perform (Fork thunks)
+    else run_loop t thunks
+
+let sleep d =
+  if d > 0. then
+    if !(Domain.DLS.get looping) then
+      perform (Sleep_until (Unix.gettimeofday () +. d))
+    else Unix.sleepf d
 
 let kill_worker t w =
   Atomic.set t.wrk.(w).dead true;
@@ -185,13 +319,14 @@ let spin_max_block = 16384
    domain steals the core of the one it waits for), and only while a
    request can be answered within the budget.  Fixed per environment,
    so a run never switches between the two handoffs. *)
-let spin_eligible ~workers ~pfor_workers ~cores ~block_size ~service_time =
-  workers + pfor_workers + 1 <= cores
+let spin_eligible ~workers ~cores ~block_size ~service_time =
+  workers + 1 <= cores
   && block_size <= spin_max_block
   && service_time < Par_mailbox.spin_budget
 
 let create ?(rotate = true) ?workers:(nw = -1) ?(pfor_workers = 0)
     ?(service_time = 0.) cfg =
+  if pfor_workers <> 0 then invalid_arg "Par_env.create: pfor_workers <> 0";
   let n = cfg.Config.n in
   let nw =
     if nw >= 1 then nw
@@ -200,7 +335,7 @@ let create ?(rotate = true) ?workers:(nw = -1) ?(pfor_workers = 0)
   let nw = min nw n in
   let service_time = Float.max 0. service_time in
   let spin =
-    spin_eligible ~workers:nw ~pfor_workers
+    spin_eligible ~workers:nw
       ~cores:(Domain.recommended_domain_count ())
       ~block_size:cfg.Config.block_size ~service_time
   in
@@ -221,7 +356,6 @@ let create ?(rotate = true) ?workers:(nw = -1) ?(pfor_workers = 0)
               dom = None;
               dead = Atomic.make false;
             });
-      pool = Par_pool.create ~workers:pfor_workers;
       fm = Mutex.create ();
       failed_clients = Hashtbl.create 4;
       t0 = Unix.gettimeofday ();
@@ -278,8 +412,8 @@ let transport t ~id : Transport.t =
 
     let call_node ?deadline:_ ~node req = call_logical t ~id ~node ~slot:0 req
     let broadcast = None
-    let pfor thunks = Par_pool.run t.pool thunks
-    let sleep d = if d > 0. then Unix.sleepf d
+    let pfor thunks = pfor t thunks
+    let sleep = sleep
     let now () = now t
 
     (* Real arithmetic already costs real time; charging a modeled
@@ -324,6 +458,5 @@ let shutdown t =
     Array.iter (fun w -> Par_mailbox.close w.mb) t.wrk;
     Array.iter
       (fun w -> match w.dom with Some d -> Domain.join d | None -> ())
-      t.wrk;
-    Par_pool.shutdown t.pool
+      t.wrk
   end

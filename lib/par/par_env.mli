@@ -18,10 +18,9 @@
       boundary}, both directions — wire semantics — so the client
       stack's buffer recycling ({!Buf_pool}) and the node's internal
       aliasing never cross domains;
-    - [pfor] fans thunks over a caller-helping {!Par_pool} (the k+m
-      write fan-out genuinely overlaps); [sleep]/[now] are the wall
-      clock; [compute] is a no-op — real arithmetic already costs real
-      time;
+    - [pfor] runs its thunks as coroutines on the calling domain (see
+      {e Coroutine pfor}); [sleep]/[now] are the wall clock; [compute]
+      is a no-op — real arithmetic already costs real time;
     - calls never time out: in-process delivery is loss-free, so the
       only failure is fail-stop [`Node_down] (crashed node, killed
       worker, or shut-down environment).  [deadline] is ignored.
@@ -44,21 +43,30 @@
     element count, and a caller polls its reply cell (one [Atomic.t]),
     each for {!Par_mailbox.spin_budget} (50 µs) before parking on a
     condvar.  The owner publishes the answer by swapping it into the
-    cell.  A caller whose spin ran out makes a mutex and condvar,
-    marks the cell parked with a compare-and-set while holding the
-    mutex, and re-checks the cell under it before every wait; an owner
+    cell.  A caller whose spin ran out takes its domain's waiter (one
+    mutex and condvar per domain), marks the cell parked with a
+    compare-and-set while holding the mutex, and re-checks the cell
+    under it before every wait; an owner
     that finds the cell parked signals under that mutex, so the signal
     either finds the caller waiting or the caller finds the answer —
     no lost wake-up.
 
     Spinning is on only when {!spin_eligible} holds at [create]: every
-    worker, every pool domain and one caller have a core each, and a
-    request can be answered within the budget (blocks of at most
-    {!spin_max_block} bytes, a [service_time] below the budget).
-    Otherwise both sides park at once as before: spinning through a
-    long request (a 64 KiB add) only burns a core.  The choice is
-    fixed for the environment's lifetime ({!spins}); it never depends
-    on how long earlier answers took. *)
+    worker and one caller have a core each, and a request can be
+    answered within the budget (blocks of at most {!spin_max_block}
+    bytes, a [service_time] below the budget).  Otherwise both sides
+    park at once: spinning through a long request (a 64 KiB add) only
+    burns a core.  The choice is fixed for the environment's lifetime
+    ({!spins}); it never depends on how long earlier answers took.
+
+    {b Coroutine pfor.}  Inside [pfor], a call whose reply cell is
+    empty yields (an effect); the caller's loop resumes whichever
+    thunk's cell has filled, and when none has it spins (where {!spins}
+    holds), then parks on the domain's waiter, which every pending cell
+    names.  [sleep] in a thunk is a timer on the loop, polled in 100 µs
+    slices.  A nested [pfor] joins the same loop.  The first exception
+    a thunk raises is re-raised once every thunk of that [pfor] has
+    finished.  Calls and sleeps outside any [pfor] block. *)
 
 type t
 
@@ -70,32 +78,25 @@ val create :
   Config.t ->
   t
 (** [workers] storage-actor domains (default
-    [max 1 (min n (recommended_domain_count () - 1))]);
-    [pfor_workers] extra domains in the shared [pfor] pool (default
-    [0]: pfor thunks run on their callers, which is already correct —
-    pool domains only add overlap); [service_time] in seconds (default
-    [0]). *)
+    [max 1 (min n (recommended_domain_count () - 1))]); [service_time]
+    in seconds (default [0]).  [pfor_workers] must be [0] (its
+    default): [pfor] needs no helper domains.
+    @raise Invalid_argument for any other [pfor_workers]. *)
 
 val spin_max_block : int
 (** The largest block size, in bytes, whose requests spin (16 KiB). *)
 
 val spin_eligible :
-  workers:int ->
-  pfor_workers:int ->
-  cores:int ->
-  block_size:int ->
-  service_time:float ->
-  bool
-(** [workers + pfor_workers + 1 <= cores && block_size <=
-    spin_max_block && service_time < Par_mailbox.spin_budget]: the
-    handoff spins only when the storage workers, the pool and one
-    caller all fit the host's [cores] (as
-    [Domain.recommended_domain_count] reports them) and a request can
-    be answered within the spin budget. *)
+  workers:int -> cores:int -> block_size:int -> service_time:float -> bool
+(** [workers + 1 <= cores && block_size <= spin_max_block &&
+    service_time < Par_mailbox.spin_budget]: the handoff spins only
+    when the storage workers and one caller all fit the host's [cores]
+    (as [Domain.recommended_domain_count] reports them) and a request
+    can be answered within the spin budget. *)
 
 val spins : t -> bool
 (** Whether this environment's handoff spins: {!spin_eligible} of its
-    worker and pool counts, the host's cores, its block size and its
+    worker count, the host's cores, its block size and its
     service time, decided at [create]. *)
 
 val transport : t -> id:int -> Transport.t
@@ -148,7 +149,7 @@ val mark_client_failed : t -> int -> unit
     (lock expiry paths).  Takes effect on subsequent requests. *)
 
 val shutdown : t -> unit
-(** Close every mailbox, join every worker and pool domain.
+(** Close every mailbox, join every worker domain.
     Idempotent.  Calls racing a shutdown get [`Node_down].  After
     shutdown the environment leaks no domains ([test_par] proves this
     by cycling more environments than the runtime's domain limit). *)

@@ -95,11 +95,31 @@ let create ?alpha_for ?(client_failed = fun _ -> false) ?(h = 8)
   }
 
 (* Deterministic "random" garbage for INIT slots: the paper's remapped
-   node holds arbitrary bits; determinism keeps test runs reproducible. *)
+   node holds arbitrary bits; determinism keeps test runs reproducible.
+   Word [w] is the splitmix64 finaliser of [seed + (w + 1) * golden],
+   stored little-endian, so a byte depends only on the seed and its
+   offset (a shorter block is a prefix of a longer one) and the fill
+   allocates nothing beyond the block. *)
+let[@inline] garbage_word seed w =
+  let open Int64 in
+  let z = add seed (mul (of_int (w + 1)) 0x9e3779b97f4a7c15L) in
+  let z = mul (logxor z (shift_right_logical z 30)) 0xbf58476d1ce4e5b9L in
+  let z = mul (logxor z (shift_right_logical z 27)) 0x94d049bb133111ebL in
+  logxor z (shift_right_logical z 31)
+
 let garbage_block t =
   t.garbage_seed <- (t.garbage_seed * 1103515245) + 12345;
-  let st = Random.State.make [| t.garbage_seed |] in
-  Bytes.init t.block_size (fun _ -> Char.chr (Random.State.int st 256))
+  let seed = Int64.of_int t.garbage_seed and words = t.block_size / 8 in
+  let b = Bytes.create t.block_size in
+  for w = 0 to words - 1 do
+    Bytes.set_int64_le b (8 * w) (garbage_word seed w)
+  done;
+  let tail = garbage_word seed words in
+  for i = 8 * words to t.block_size - 1 do
+    let byte = Int64.shift_right_logical tail (8 * (i land 7)) in
+    Bytes.set b i (Char.unsafe_chr (Int64.to_int byte land 0xff))
+  done;
+  b
 
 let writer_of_tid tid =
   Checksum.pack_writer ~seq:tid.seq ~blk:tid.blk ~client:tid.client

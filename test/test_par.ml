@@ -100,46 +100,168 @@ let test_mailbox_close_while_spinning () =
     true (waited < 0.5)
 
 (* ------------------------------------------------------------------ *)
-(* Pool. *)
+(* pfor: thunks are coroutines on the calling domain. *)
 
-let test_pool_runs_all_and_nests () =
-  let pool = Par_pool.create ~workers:2 in
+let read_ok (module T : Transport.S) node =
+  match T.call_node ~node Proto.Read with Ok _ -> true | Error _ -> false
+
+let test_pfor_runs_all_and_nests () =
+  let cfg = cfg_small () in
+  let env = Par_env.create ~workers:2 cfg in
+  let tr = Par_env.transport env ~id:1 in
+  let (module T : Transport.S) = tr in
   let n = 40 in
   let hit = Array.make n false in
-  Par_pool.run pool
+  T.pfor
     (List.init n (fun i () ->
+         let node = (i + seed_offset) mod cfg.Config.n in
          if i mod 10 = 0 then
-           (* nested run from inside a thunk must not deadlock *)
-           Par_pool.run pool [ (fun () -> ()); (fun () -> ()) ];
-         hit.(i) <- true));
+           (* a nested pfor joins the same loop *)
+           T.pfor
+             [
+               (fun () -> assert (read_ok tr node));
+               (fun () -> assert (read_ok tr ((node + 1) mod cfg.Config.n)));
+             ];
+         hit.(i) <- read_ok tr node));
   Alcotest.(check bool) "every thunk ran" true (Array.for_all Fun.id hit);
-  Par_pool.shutdown pool;
-  Par_pool.shutdown pool (* idempotent *)
+  Par_env.shutdown env
 
-let test_pool_zero_workers_sequential () =
-  let pool = Par_pool.create ~workers:0 in
+(* Thunks that never wait run in submission order; and helper domains
+   are gone, so asking for one is an error. *)
+let test_pfor_in_order () =
+  let cfg = cfg_small () in
+  Alcotest.check_raises "pfor_workers > 0 rejected"
+    (Invalid_argument "Par_env.create: pfor_workers <> 0") (fun () ->
+      ignore (Par_env.create ~pfor_workers:1 cfg));
+  let env = Par_env.create ~workers:1 ~pfor_workers:0 cfg in
+  let (module T : Transport.S) = Par_env.transport env ~id:1 in
   let order = ref [] in
-  Par_pool.run pool (List.init 5 (fun i () -> order := i :: !order));
-  Alcotest.(check (list int)) "caller runs in order" [ 4; 3; 2; 1; 0 ] !order;
-  Par_pool.shutdown pool
+  T.pfor (List.init 5 (fun i () -> order := i :: !order));
+  Alcotest.(check (list int)) "submission order" [ 4; 3; 2; 1; 0 ] !order;
+  Par_env.shutdown env
 
 exception Boom
 
-let test_pool_exception_after_barrier () =
-  let pool = Par_pool.create ~workers:2 in
+(* Thunk 3 raises before the others' calls are answered: the exception
+   must wait until every sibling has finished. *)
+let test_pfor_exception_after_barrier () =
+  let cfg = cfg_small () in
+  let env = Par_env.create ~workers:2 ~service_time:1e-3 cfg in
+  let tr = Par_env.transport env ~id:1 in
+  let (module T : Transport.S) = tr in
   let done_ = Array.make 8 false in
   (try
-     Par_pool.run pool
+     T.pfor
        (List.init 8 (fun i () ->
             if i = 3 then raise Boom;
-            done_.(i) <- true));
+            done_.(i) <- read_ok tr (i mod cfg.Config.n)));
      Alcotest.fail "expected Boom"
    with Boom -> ());
-  (* the barrier joined: every non-raising thunk finished *)
   List.iteri
     (fun i d -> if i <> 3 then Alcotest.(check bool) "thunk finished" true d)
     (Array.to_list done_);
-  Par_pool.shutdown pool
+  Par_env.shutdown env
+
+(* Latency-bound fan-outs overlap: one worker per node and a service
+   time S far above scheduler noise.  A parallel-strategy write is a
+   swap and then p = 2 adds at once, so about 2·S; run one after
+   another it takes at least 3·S. *)
+let service = 10e-3
+
+let test_pfor_write_overlaps () =
+  let cfg = cfg_small () in
+  let env =
+    Par_env.create ~rotate:false ~workers:cfg.Config.n ~service_time:service
+      cfg
+  in
+  let c = Par_env.make_client env ~id:1 in
+  let b = Bytes.make cfg.Config.block_size 'w' in
+  Client.write c ~slot:0 ~i:0 b;
+  let t0 = Unix.gettimeofday () in
+  Bytes.fill b 0 (Bytes.length b) (Char.chr (seed_offset land 0xff));
+  Client.write c ~slot:0 ~i:0 b;
+  let dt = Unix.gettimeofday () -. t0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "write %.1f ms < 2.5 S (S = %.0f ms)" (1e3 *. dt)
+       (1e3 *. service))
+    true
+    (dt < 2.5 *. service);
+  Alcotest.(check bool) "value read back" true
+    (Bytes.equal (Client.read c ~slot:0 ~i:0) b);
+  Par_env.shutdown env
+
+(* A read off a Suspect data node races the primary against a hedge
+   armed after exactly 2·S: overlapped, the read ends when the hedge
+   bows out, about 2·S; run one after another, S + 2·S. *)
+let test_pfor_hedge_overlaps () =
+  let health =
+    {
+      Config.default_health with
+      Config.timeout_floor = 2. *. service;
+      timeout_ceil = 2. *. service;
+      hedge = true;
+    }
+  in
+  let cfg = Config.make ~t_p:1 ~block_size:64 ~k:3 ~n:5 ~health () in
+  let env =
+    Par_env.create ~rotate:false ~workers:cfg.Config.n ~service_time:service
+      cfg
+  in
+  let hedges = Atomic.make 0 in
+  let sink _ = function
+    | Trace.Hedge_launched _ -> Atomic.incr hedges
+    | _ -> ()
+  in
+  let c = Par_env.make_client ~sink env ~id:1 in
+  let b = Bytes.make cfg.Config.block_size 'h' in
+  Client.write c ~slot:0 ~i:0 b;
+  (* rotate:false: data block 0 of stripe 0 is on node 0 *)
+  let h = Client.health c in
+  let now = Par_env.now env in
+  ignore (Health.observe_timeout h ~now ~node:0);
+  ignore (Health.observe_timeout h ~now ~node:0);
+  Alcotest.(check bool) "node 0 suspect" true
+    (Health.state h ~node:0 = Health.Suspect);
+  let t0 = Unix.gettimeofday () in
+  let v = Client.read c ~slot:0 ~i:0 in
+  let dt = Unix.gettimeofday () -. t0 in
+  Alcotest.(check int) "hedge launched" 1 (Atomic.get hedges);
+  Alcotest.(check bool) "value" true (Bytes.equal v b);
+  Alcotest.(check bool)
+    (Printf.sprintf "hedged read %.1f ms < 2.5 S (S = %.0f ms)" (1e3 *. dt)
+       (1e3 *. service))
+    true
+    (dt < 2.5 *. service);
+  Par_env.shutdown env
+
+(* [sleep] in a thunk is a timer on the loop: its siblings keep making
+   calls while it waits. *)
+let test_pfor_sleep_does_not_stall () =
+  let cfg = cfg_small () in
+  let env = Par_env.create ~workers:1 cfg in
+  let tr = Par_env.transport env ~id:1 in
+  let (module T : Transport.S) = tr in
+  let nap = 0.2 in
+  let t0 = Unix.gettimeofday () in
+  let calls_done = ref infinity and woke = ref 0. in
+  T.pfor
+    [
+      (fun () ->
+        T.sleep nap;
+        woke := Unix.gettimeofday () -. t0);
+      (fun () ->
+        for i = 1 to 20 do
+          assert (read_ok tr (i mod cfg.Config.n))
+        done;
+        calls_done := Unix.gettimeofday () -. t0);
+    ];
+  Alcotest.(check bool)
+    (Printf.sprintf "sibling done at %.1f ms, before the %.0f ms nap ends"
+       (1e3 *. !calls_done) (1e3 *. nap))
+    true
+    (!calls_done < nap /. 2.);
+  Alcotest.(check bool) "sleeper slept its nap" true (!woke >= nap);
+  Par_env.shutdown env
 
 (* ------------------------------------------------------------------ *)
 (* Environment: concurrent adds commute (the linearity the protocol
@@ -148,7 +270,7 @@ let test_pool_exception_after_barrier () =
 let test_concurrent_adds_commute () =
   let cfg = cfg_small () in
   let rounds = 100 and writers = 3 and writes_per = 3 in
-  let env = Par_env.create ~workers:2 ~pfor_workers:1 cfg in
+  let env = Par_env.create ~workers:2 cfg in
   for round = 0 to rounds - 1 do
     let slot = round in
     let fill i r =
@@ -213,7 +335,7 @@ let check_only_worker_down env cfg ~dead =
 
 let test_kill_worker_node_down () =
   let cfg = cfg_small () in
-  let env = Par_env.create ~rotate:false ~workers:2 ~pfor_workers:0 cfg in
+  let env = Par_env.create ~rotate:false ~workers:2 cfg in
   let c = Par_env.make_client env ~id:1 in
   let b = Bytes.make cfg.Config.block_size 'x' in
   for i = 0 to cfg.Config.k - 1 do
@@ -236,7 +358,7 @@ let test_kill_worker_node_down () =
    silently and leave the caller waiting forever on its reply cell. *)
 let test_raising_handler_fail_stops () =
   let cfg = cfg_small () in
-  let env = Par_env.create ~rotate:false ~workers:2 ~pfor_workers:0 cfg in
+  let env = Par_env.create ~rotate:false ~workers:2 cfg in
   let (module T : Transport.S) = Par_env.transport env ~id:1 in
   (* a 3-byte delta into a 64-byte block: the node's kernel raises *)
   let bad =
@@ -260,26 +382,25 @@ let test_raising_handler_fail_stops () =
 let test_spin_eligible () =
   let budget = Par_mailbox.spin_budget in
   List.iter
-    (fun (workers, pfor_workers, cores, block_size, service_time, expect) ->
+    (fun (workers, cores, block_size, service_time, expect) ->
       Alcotest.(check bool)
-        (Printf.sprintf "%d workers + %d pool on %d cores, %d B blocks, %g s"
-           workers pfor_workers cores block_size service_time)
+        (Printf.sprintf "%d workers on %d cores, %d B blocks, %g s" workers
+           cores block_size service_time)
         expect
-        (Par_env.spin_eligible ~workers ~pfor_workers ~cores ~block_size
-           ~service_time))
+        (Par_env.spin_eligible ~workers ~cores ~block_size ~service_time))
     [
-      (1, 0, 1, 4096, 0., false);
-      (1, 0, 2, 4096, 0., true);
-      (2, 1, 4, 4096, 0., true);
-      (3, 1, 4, 4096, 0., false);
-      (3, 1, 5, 4096, 0., true);
-      (3, 0, 2, 4096, 0., false);
-      (1, 0, 2, Par_env.spin_max_block, 0., true);
-      (1, 0, 2, Par_env.spin_max_block + 1, 0., false);
-      (1, 0, 2, 65536, 0., false);
-      (1, 0, 2, 4096, 0.5 *. budget, true);
-      (1, 0, 2, 4096, budget, false);
-      (3, 1, 8, 4096, 300e-6, false);
+      (1, 1, 4096, 0., false);
+      (1, 2, 4096, 0., true);
+      (2, 2, 4096, 0., false);
+      (3, 4, 4096, 0., true);
+      (4, 4, 4096, 0., false);
+      (3, 2, 4096, 0., false);
+      (1, 2, Par_env.spin_max_block, 0., true);
+      (1, 2, Par_env.spin_max_block + 1, 0., false);
+      (1, 2, 65536, 0., false);
+      (1, 2, 4096, 0.5 *. budget, true);
+      (1, 2, 4096, budget, false);
+      (3, 8, 4096, 300e-6, false);
     ]
 
 (* One client domain, one worker: alternate swaps and reads over a few
@@ -290,11 +411,11 @@ let ping_pong ~service_time () =
   let cfg = cfg_small () in
   let calls = 20_000 and slots = 32 in
   let env =
-    Par_env.create ~rotate:false ~workers:1 ~pfor_workers:0 ~service_time cfg
+    Par_env.create ~rotate:false ~workers:1 ~service_time cfg
   in
   Alcotest.(check bool)
     "environment spins iff the predicate holds on this host"
-    (Par_env.spin_eligible ~workers:1 ~pfor_workers:0
+    (Par_env.spin_eligible ~workers:1
        ~cores:(Domain.recommended_domain_count ())
        ~block_size:cfg.Config.block_size ~service_time)
     (Par_env.spins env);
@@ -335,7 +456,7 @@ let test_ping_pong_park =
 let test_no_leaked_domains () =
   let cfg = cfg_small () in
   for i = 0 to 129 do
-    let env = Par_env.create ~workers:2 ~pfor_workers:1 cfg in
+    let env = Par_env.create ~workers:2 cfg in
     if i mod 17 = 0 then begin
       let c = Par_env.make_client env ~id:1 in
       ignore (Client.write c ~slot:0 ~i:0 (Bytes.make cfg.Config.block_size 'z'))
@@ -408,12 +529,18 @@ let suite =
         test_mailbox_close_wakes_blocked;
       Alcotest.test_case "mailbox close reaches a spinning popper" `Quick
         test_mailbox_close_while_spinning;
-      Alcotest.test_case "pool runs all thunks, nesting safe" `Quick
-        test_pool_runs_all_and_nests;
-      Alcotest.test_case "pool with zero workers is sequential" `Quick
-        test_pool_zero_workers_sequential;
-      Alcotest.test_case "pool re-raises after the barrier" `Quick
-        test_pool_exception_after_barrier;
+      Alcotest.test_case "pfor runs all thunks, nesting safe" `Quick
+        test_pfor_runs_all_and_nests;
+      Alcotest.test_case "pfor without helper domains keeps order" `Quick
+        test_pfor_in_order;
+      Alcotest.test_case "pfor re-raises after the barrier" `Quick
+        test_pfor_exception_after_barrier;
+      Alcotest.test_case "pfor overlaps a parallel write's adds" `Quick
+        test_pfor_write_overlaps;
+      Alcotest.test_case "pfor overlaps a hedged read's legs" `Quick
+        test_pfor_hedge_overlaps;
+      Alcotest.test_case "pfor sleep does not stall siblings" `Quick
+        test_pfor_sleep_does_not_stall;
       Alcotest.test_case "concurrent adds commute (100 rounds)" `Slow
         test_concurrent_adds_commute;
       Alcotest.test_case "killed worker surfaces as Node_down" `Quick

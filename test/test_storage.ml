@@ -419,6 +419,77 @@ let test_directory_remap () =
     (Invalid_argument "Directory: logical node index out of range") (fun () ->
       ignore (Directory.lookup dir 9))
 
+(* INIT fill: a remapped node's slots hold arbitrary but reproducible
+   bits, made a word at a time. *)
+
+let init_store block_size =
+  Storage_node.create ~now:(fun () -> 0.) ~block_size ~init:`Garbage ()
+
+let init_block ?(slot = 0) node = Storage_node.peek_block node ~slot
+
+let test_init_fill_deterministic () =
+  let a = init_store 4096 and b = init_store 4096 in
+  for slot = 0 to 3 do
+    Alcotest.(check bytes)
+      (Printf.sprintf "slot %d same in both stores" slot)
+      (init_block a ~slot) (init_block b ~slot)
+  done;
+  for slot = 1 to 3 do
+    Alcotest.(check bool)
+      (Printf.sprintf "slot %d differs from slot %d" slot (slot - 1))
+      false
+      (Bytes.equal (init_block a ~slot) (init_block a ~slot:(slot - 1)))
+  done;
+  let big = init_block (init_store 65536) in
+  let seen = Array.make 256 false in
+  Bytes.iter (fun c -> seen.(Char.code c) <- true) big;
+  Alcotest.(check bool) "64 KiB block not all zero, every byte value seen"
+    true (Array.for_all Fun.id seen)
+
+(* A byte depends only on the seed and its offset, so every shorter
+   block is a prefix of a longer one: a byte the fill skipped would
+   keep whatever [Bytes.create] left there. *)
+let test_init_fill_every_byte () =
+  let check_prefix n ~of_ =
+    Alcotest.(check bytes)
+      (Printf.sprintf "%d-byte block is a prefix of the %d-byte one" n of_)
+      (Bytes.sub (init_block (init_store of_)) 0 n)
+      (init_block (init_store n))
+  in
+  for n = 1 to 70 do
+    check_prefix n ~of_:72
+  done;
+  check_prefix 65_549 ~of_:65_552
+
+(* Making an INIT slot allocates no more than making a zeroed one: the
+   block itself, and nothing per byte or per fill. *)
+let test_init_fill_allocation () =
+  let words f =
+    let total () =
+      let minor, promoted, major = Stdlib.Gc.counters () in
+      minor +. major -. promoted
+    in
+    let t0 = total () in
+    f ();
+    total () -. t0
+  in
+  List.iter
+    (fun block_size ->
+      let fresh init () =
+        let node =
+          Storage_node.create ~now:(fun () -> 0.) ~block_size ~init ()
+        in
+        fun () -> ignore (Sys.opaque_identity (init_block node))
+      in
+      let zeroed = words (fresh `Zeroed ()) in
+      let garbage = words (fresh `Garbage ()) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%d B: INIT slot %.0f words, zeroed slot %.0f"
+           block_size garbage zeroed)
+        true
+        (garbage <= zeroed +. 2.))
+    [ 4096; 65_536; 65_549 ]
+
 let suite =
   let t name f = Alcotest.test_case name `Quick f in
   ( "storage_node",
@@ -448,4 +519,7 @@ let suite =
       t "overhead accounting (Sec 6.5)" test_overhead_accounting;
       t "broadcast add scales by node alpha" test_add_bcast_scaling;
       t "directory crash and remap" test_directory_remap;
+      t "INIT fill deterministic, slots differ" test_init_fill_deterministic;
+      t "INIT fill writes every byte" test_init_fill_every_byte;
+      t "INIT fill allocates only the block" test_init_fill_allocation;
     ] )
