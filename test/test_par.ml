@@ -166,7 +166,7 @@ let test_pfor_exception_after_barrier () =
    time S far above scheduler noise.  A parallel-strategy write is a
    swap and then p = 2 adds at once, so about 2·S; run one after
    another it takes at least 3·S. *)
-let service = 10e-3
+let service = 20e-3
 
 let test_pfor_write_overlaps () =
   let cfg = cfg_small () in
